@@ -8,12 +8,15 @@ telemetry layer itself — both the enabled overhead and the disabled-mode
 jitter (the acceptance bar is that instrumentation with telemetry *off*
 is unmeasurable against run-to-run noise).
 
-Five hard perf gates ride along (bench-smoke CI fails if they regress):
+Six hard perf gates ride along (bench-smoke CI fails if they regress):
 
 * the treadle JIT fast path must sustain >= 10x the tree-walking
   interpreter's cycles/second,
 * the native C backend must sustain >= 3x the treadle JIT on the same
   replay (recorded as ``speedup_vs_jit``),
+* replay on the native C backend, whose stimulus loop runs inside one
+  native call, must reach >= 50% of the same simulation's one-call
+  free-running ``step(n)`` rate (recorded as ``replay_vs_free_run``),
 * the bit-parallel swarm backend must sustain >= 8x the treadle JIT in
   *aggregate* lanes x cycles/second on the same replay broadcast across
   all lanes (recorded as ``aggregate_lane_cycles_per_second``),
@@ -66,6 +69,7 @@ JIT_MIN_SPEEDUP = 10.0
 WARM_CACHE_MIN_SPEEDUP = 5.0
 C_MIN_SPEEDUP_VS_JIT = 3.0
 SWARM_MIN_SPEEDUP_VS_JIT = 8.0
+C_MIN_REPLAY_VS_FREE_RUN = 0.5
 MIN_INSTRUMENT_MIN_REDUCTION_PCT = 25.0
 
 #: swarm pack width for the aggregate-throughput gate — wide enough to
@@ -74,6 +78,10 @@ SWARM_LANES = 512
 
 #: timed repetitions per measurement (min is reported)
 REPS = 3
+
+#: repetitions for the replay-vs-free-run ratio: a native replay of the
+#: smallest design takes about a millisecond, so take the min of more
+FREE_RUN_REPS = 10
 
 
 def _timed(fn):
@@ -133,9 +141,11 @@ def test_bench_runtime_smallest_design(tmp_path):
 
     phases = {"elaborate_s": elaborate_s, "instrument_s": instrument_s}
     backends = {}
+    templates = {}
     for name, make_backend in BACKENDS.items():
         backend = make_backend()
         compiled, compile_s = _timed(lambda: backend.compile_state(state))
+        templates[name] = compiled
         runs = _replay_seconds(compiled.fork, replay)
         best = min(runs)
         backends[name] = {
@@ -166,6 +176,24 @@ def test_bench_runtime_smallest_design(tmp_path):
     assert c_speedup >= C_MIN_SPEEDUP_VS_JIT, (
         f"c backend only {c_speedup:.1f}x the treadle JIT "
         f"(gate: >= {C_MIN_SPEEDUP_VS_JIT}x)"
+    )
+
+    # Gate: with the stimulus loop inside the native call, replay on c
+    # must reach >= 50% of the same simulation's free-running rate: one
+    # step(n) with reset low and no stimulus, an upper bound.
+    c_template = templates["c"]
+    replay_best = min(_replay_seconds(c_template.fork, replay, FREE_RUN_REPS))
+    free_runs = []
+    for _ in range(FREE_RUN_REPS):
+        sim = c_template.fork()
+        _, elapsed = _timed(lambda: sim.step(replay.cycles))
+        free_runs.append(elapsed)
+    replay_vs_free_run = min(free_runs) / replay_best
+    backends["c"]["free_run_cycles_per_second"] = replay.cycles / min(free_runs)
+    backends["c"]["replay_vs_free_run"] = replay_vs_free_run
+    assert replay_vs_free_run >= C_MIN_REPLAY_VS_FREE_RUN, (
+        f"c replay only {replay_vs_free_run:.0%} of its free-running "
+        f"step(n) rate (gate: >= {C_MIN_REPLAY_VS_FREE_RUN:.0%})"
     )
 
     # Gate: swarm lanes must multiply throughput: with the same replay

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .api import (
     BackendInfo,
     CoverCounts,
+    InputMatrix,
     RunFailure,
     ScanChainCorruption,
     Simulation,
@@ -33,7 +34,9 @@ from .api import (
     SimulatorBackend,
     StepResult,
     has_port,
+    poke_and_step,
     reset_and_run,
+    run_inputs,
     saturate,
 )
 from .essent import EssentBackend, EssentSimulation
@@ -151,6 +154,7 @@ __all__ = [
     "backend_matrix_markdown",
     "CacheEntry",
     "CoverCounts",
+    "InputMatrix",
     "ModelCache",
     "cache_key",
     "circuit_fingerprint",
@@ -172,6 +176,8 @@ __all__ = [
     "SwarmBackend",
     "SwarmSimulation",
     "has_port",
+    "poke_and_step",
+    "run_inputs",
     "TreadleBackend",
     "TreadleSimulation",
     "VerilatorBackend",

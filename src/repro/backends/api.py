@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from ..ir.nodes import Circuit
 
@@ -124,6 +124,10 @@ class Simulation(Protocol):
     only immutable compiled artifacts between them).  Methods may raise
     :class:`SimulationFault` subclasses when the underlying engine
     crashes or hangs; those are contained by the run orchestrator.
+
+    Per-cycle stimulus goes through :func:`run_inputs`; a simulation
+    may also define ``run_inputs(matrix)`` to run a whole
+    :class:`InputMatrix` natively, with the same results.
     """
 
     def poke(self, port: str, value: int) -> None:
@@ -166,6 +170,73 @@ class Simulation(Protocol):
         counters; the returned dict is a snapshot the caller owns.
         """
         ...
+
+
+class InputMatrix:
+    """Per-cycle stimulus for :func:`run_inputs`: one row per clock edge.
+
+    ``ports`` names the driven top-level inputs (the columns); each row
+    holds one raw value per port, in that order.  Inputs not listed are
+    *held*: they keep whatever value the simulation has when the matrix
+    runs.  Treat a matrix as immutable once built, so it can be replayed
+    on any number of simulations; ``packed`` is where a native backend
+    caches its own encoding of the rows (see
+    :meth:`repro.backends.cbackend.CSimulation.run_inputs`), so repeated
+    runs pay for packing once.
+    """
+
+    __slots__ = ("ports", "rows", "packed")
+
+    def __init__(self, ports: Sequence[str], rows: Sequence[Sequence[int]]) -> None:
+        self.ports = tuple(ports)
+        self.rows = rows
+        self.packed: dict = {}
+
+
+def run_inputs(sim: Simulation, matrix: InputMatrix) -> StepResult:
+    """Drive ``matrix`` into ``sim``, one row per rising clock edge.
+
+    The batched stimulus entry point every replay and fuzz execution
+    goes through.  A simulation with a native ``run_inputs(matrix)``
+    method (the ``c`` backend) runs the whole matrix in one call; every
+    other backend gets :func:`poke_and_step`.  Either way the outcome is
+    bit-identical to poking each row and calling ``step(1)``: the same
+    cover counts, ``cycle`` and port values.  The returned
+    :class:`StepResult` aggregates the run: ``cycles`` counts the edges
+    executed, and once a ``stop`` fires the remaining rows are not
+    stepped and the stop's name and exit code are reported (``cycles``
+    is 0 if the simulation had already stopped).  Driven inputs always
+    end at the last row's values, stopped or not.  Raises ``KeyError``
+    for a column that is not a top-level input.
+    """
+    native = getattr(sim, "run_inputs", None)
+    if native is not None:
+        return native(matrix)
+    return poke_and_step(sim, matrix)
+
+
+def poke_and_step(sim: Simulation, matrix: InputMatrix) -> StepResult:
+    """:func:`run_inputs` over the plain protocol: ``poke`` + ``step(1)``.
+
+    Pokes only the inputs whose value changed since the previous row.
+    """
+    poke, step = sim.poke, sim.step
+    ports = matrix.ports
+    previous: Sequence = (None,) * len(ports)
+    done = 0
+    for row in matrix.rows:
+        for port, value, old in zip(ports, row, previous):
+            if value != old:
+                poke(port, value)
+        previous = row
+        result = step(1)
+        done += result.cycles
+        if result.stopped:
+            for port, value, old in zip(ports, matrix.rows[-1], row):
+                if value != old:
+                    poke(port, value)
+            return StepResult(done, True, result.stop_name, result.exit_code)
+    return StepResult(done)
 
 
 class SimulatorBackend(Protocol):

@@ -7,18 +7,34 @@ the remaining headroom the ROADMAP identifies by emitting C99 from the
 to a system C compiler (``cc -O2 -shared -fPIC``), and loading the
 artifact through :mod:`ctypes` behind a small, stable ABI:
 
-================================== ==========================================
-symbol                             role
-================================== ==========================================
-``repro_create`` / ``repro_destroy``  allocate / free one simulation state
-``repro_reset``                    zero all architectural state and counters
-``repro_settle``                   one combinational sweep (before peeks)
-``repro_step(s, n)``               run ``n`` rising edges, return cycles done
-``repro_halted``                   fired stop index, or -1 while running
-``repro_poke`` / ``repro_peek``    write an input / read any signal by index
-``repro_read_covers``              copy the raw 64-bit cover counters out
-``repro_abi_version`` & friends    load-time sanity checks on the artifact
-================================== ==========================================
+==================================== ========================================
+symbol                               role
+==================================== ========================================
+``repro_create`` / ``repro_destroy`` allocate / free one simulation state
+``repro_reset``                      zero all architectural state and counters
+``repro_settle``                     one combinational sweep (before peeks)
+``repro_step(s, n, in)``             run ``n`` rising edges, return cycles
+                                     done; ``in`` is NULL or an input matrix
+``repro_halted``                     fired stop index, or -1 while running
+``repro_poke`` / ``repro_peek``      write an input / read any signal by index
+``repro_read_covers``                copy the raw 64-bit cover counters out
+``repro_abi_version`` & friends      load-time sanity checks on the artifact
+                                     (ABI version, signal, cover, value-word
+                                     and matrix row-word counts)
+==================================== ========================================
+
+The input matrix (ABI version 2) is row-major ``uint64_t`` words, one row
+per edge.  A row holds every model input in ``model.inputs`` order (see
+:func:`input_layout`): one word per port, or two, low word first, for a
+port wider than 64 bits.  ``repro_step`` keeps a single cycle loop: with
+``in`` NULL it runs on the inputs already poked (``step(n)``); otherwise
+it loads and masks row ``i`` into the input locals before edge ``i``'s
+settle and writes the inputs back to the state on exit.  Python fills the
+columns of ports the caller does not drive (*held* ports, such as
+``clock``) with their values at call time.  A stop ends the loop after
+its edge, like ``step(n)``; :meth:`CSimulation.run_inputs` then pokes
+the last row, so driven inputs end where a poke-and-``step(1)`` loop
+would have left them.
 
 Semantics mirror :mod:`repro.backends.pycodegen` exactly: every generated
 sub-expression is the operand's *raw masked bit pattern* held in one
@@ -55,15 +71,23 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from array import array
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.traversal import walk_expr
 from ..ir.types import bit_width, is_signed, mask
 from ..runtime.telemetry import StepMeter, obs
-from .api import CoverCounts, StepResult, metered_step, saturate
+from .api import (
+    CoverCounts,
+    InputMatrix,
+    StepResult,
+    metered_step,
+    poke_and_step,
+    saturate,
+)
 from .model import CircuitModel, MemoryModel, build_model
 from .modelcache import CacheEntry, ModelCache, compile_cached, resolve_cache
 from .pycodegen import CodeBuilder, pynames
@@ -72,10 +96,10 @@ from .treadle import TreadleBackend
 #: Version of the C emitter's output contract.  Mixed into the cache-key
 #: options, so any change to the emitted C invalidates cached artifacts
 #: without having to bump the repo-wide ``CODEGEN_VERSION``.
-C_EMITTER_VERSION = 1
+C_EMITTER_VERSION = 2
 
 #: Version stamped into (and checked out of) every generated artifact.
-C_ABI_VERSION = 1
+C_ABI_VERSION = 2
 
 #: Every value crosses the ABI as this many little-endian 64-bit words,
 #: regardless of the model's word width — peek/poke are not hot paths.
@@ -185,6 +209,53 @@ def word_width(model: CircuitModel) -> int:
     raise CUnsupportedCircuit(
         f"widest intermediate value is {widest} bits (limit: 128)"
     )
+
+
+def input_layout(model: CircuitModel) -> list[tuple[str, int, int]]:
+    """One input-matrix row: ``(port, width, words)`` in ``model.inputs`` order.
+
+    A port takes one ``uint64_t`` word, or two (low word first) when it
+    is wider than 64 bits.
+    """
+    layout = []
+    for port in model.inputs:
+        width = model.widths[port.name]
+        layout.append((port.name, width, 2 if width > 64 else 1))
+    return layout
+
+
+def row_words(model: CircuitModel) -> int:
+    """The ``uint64_t`` words in one input-matrix row."""
+    return sum(words for _, _, words in input_layout(model))
+
+
+def pack_matrix(
+    matrix: InputMatrix, layout, held: Sequence[int]
+) -> array:
+    """``matrix`` as row-major ``uint64_t`` words in ``layout`` order.
+
+    Each value is masked to its port's width.  A layout port that the
+    matrix does not drive takes the next ``held`` value (in layout
+    order) in every row.
+    """
+    columns = {port: i for i, port in enumerate(matrix.ports)}
+    held_values = iter(held)
+    slots = []
+    for name, width, words in layout:
+        column = columns.get(name)
+        fixed = next(held_values) if column is None else 0
+        slots.append((column, fixed, mask(width), words == 2))
+    flat: list[int] = []
+    append = flat.append
+    for row in matrix.rows:
+        for column, fixed, port_mask, wide in slots:
+            value = (fixed if column is None else row[column]) & port_mask
+            if wide:
+                append(value & _U64_MASK)
+                append(value >> 64)
+            else:
+                append(value)
+    return array("Q", flat)
 
 
 def signal_names(model: CircuitModel) -> list[str]:
@@ -512,14 +583,16 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit("}")
     b.emit()
 
-    # -- step: the fused hot loop -------------------------------------------
+    # -- step: the fused hot loop, optionally fed by an input matrix --------
     local_gen = _CExprGen(W, lambda n: ids[n], lambda n: mem_ids[n], memories)
-    b.emit("uint64_t repro_step(void* p, uint64_t cycles) {")
+    layout = input_layout(model)
+    stride = row_words(model)
+    b.emit("uint64_t repro_step(void* p, uint64_t cycles, const uint64_t* in) {")
     b.depth += 1
     b.emit("state_t* s = (state_t*)p;")
     b.emit("if (s->halted >= 0) return 0;")
     for port in model.inputs:
-        b.emit(f"const uN {ids[port.name]} = s->{ids[port.name]};")
+        b.emit(f"uN {ids[port.name]} = s->{ids[port.name]};")
     for reg in model.registers:
         b.emit(f"uN {ids[reg.name]} = s->{ids[reg.name]};")
     for memory in model.memories:
@@ -530,8 +603,23 @@ def generate_c_source(model: CircuitModel) -> str:
         b.emit("uint64_t * const cov = s->covers;")
     b.emit("uint64_t done = 0;")
     b.emit("uint64_t i;")
+    if not layout:
+        b.emit("(void)in;")
     b.emit("for (i = 0; i < cycles; i++) {")
     b.depth += 1
+    if layout:
+        b.emit("if (in) {")
+        b.depth += 1
+        b.emit(f"const uint64_t * const r = in + i * {stride}u;")
+        offset = 0
+        for name, width, words in layout:
+            raw = f"(uN)r[{offset}]"
+            if words == 2:
+                raw = f"({raw} | ((uN)r[{offset + 1}] << 64))"
+            b.emit(f"{ids[name]} = {local_gen.m(raw, width)};")
+            offset += words
+        b.depth -= 1
+        b.emit("}")
     for name, expr in model.comb:
         b.emit(f"const uN {ids[name]} = {local_gen.gen(expr)};")
     for index, cover in enumerate(model.covers):
@@ -584,6 +672,13 @@ def generate_c_source(model: CircuitModel) -> str:
         b.emit("if (s->halted >= 0) break;")
     b.depth -= 1
     b.emit("}")
+    if layout:
+        b.emit("if (in) {")
+        b.depth += 1
+        for name, _, _ in layout:
+            b.emit(f"s->{ids[name]} = {ids[name]};")
+        b.depth -= 1
+        b.emit("}")
     for reg in model.registers:
         b.emit(f"s->{ids[reg.name]} = {ids[reg.name]};")
     b.emit("return done;")
@@ -651,6 +746,7 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit(f"uint32_t repro_num_signals(void) {{ return {len(names)}u; }}")
     b.emit(f"uint32_t repro_num_covers(void) {{ return {n_covers}u; }}")
     b.emit(f"uint32_t repro_value_words(void) {{ return {VALUE_WORDS}u; }}")
+    b.emit(f"uint32_t repro_row_words(void) {{ return {stride}u; }}")
     b.emit(f"uint32_t repro_word_bits(void) {{ return {W}u; }}")
     return b.source()
 
@@ -666,6 +762,14 @@ def _scratch_dir() -> Path:
     if _SCRATCH is None:
         _SCRATCH = Path(tempfile.mkdtemp(prefix="repro-cbackend-"))
     return _SCRATCH
+
+
+def _private_copy(so_path: Path) -> Path:
+    """A copy of ``so_path`` under a name no ``dlopen`` has seen."""
+    fd, name = tempfile.mkstemp(suffix=SO_SUFFIX, dir=_scratch_dir())
+    os.close(fd)
+    shutil.copyfile(so_path, name)
+    return Path(name)
 
 
 def _digest_path(so_path: Path) -> Path:
@@ -748,7 +852,9 @@ class _CompiledLib:
             lib.repro_settle.restype = None
             lib.repro_settle.argtypes = [ctypes.c_void_p]
             lib.repro_step.restype = ctypes.c_uint64
-            lib.repro_step.argtypes = [ctypes.c_void_p, ctypes.c_uint64]
+            lib.repro_step.argtypes = [
+                ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p
+            ]
             lib.repro_halted.restype = ctypes.c_int32
             lib.repro_halted.argtypes = [ctypes.c_void_p]
             words = ctypes.POINTER(ctypes.c_uint64)
@@ -759,7 +865,8 @@ class _CompiledLib:
             lib.repro_read_covers.restype = None
             lib.repro_read_covers.argtypes = [ctypes.c_void_p, words]
             for probe in ("repro_abi_version", "repro_num_signals",
-                          "repro_num_covers", "repro_value_words"):
+                          "repro_num_covers", "repro_value_words",
+                          "repro_row_words"):
                 getattr(lib, probe).restype = ctypes.c_uint32
                 getattr(lib, probe).argtypes = []
         except AttributeError as exc:
@@ -770,6 +877,7 @@ class _CompiledLib:
             ("signal count", lib.repro_num_signals(), len(names)),
             ("cover count", lib.repro_num_covers(), len(model.covers)),
             ("value words", lib.repro_value_words(), VALUE_WORDS),
+            ("row words", lib.repro_row_words(), row_words(model)),
         )
         for what, got, want in checks:
             if got != want:
@@ -778,6 +886,7 @@ class _CompiledLib:
                 )
         self._lib = lib
         self.index = {name: i for i, name in enumerate(names)}
+        self.layout = tuple(input_layout(model))
         self.n_covers = len(model.covers)
         self.create = lib.repro_create
         self.destroy = lib.repro_destroy
@@ -862,6 +971,27 @@ class CSimulation:
             self._meter, lambda: self._step(cycles), lambda r: r.cycles
         )
 
+    def run_inputs(self, matrix: InputMatrix) -> StepResult:
+        """Run one edge per matrix row in a single native ``repro_step``.
+
+        The native form of :func:`repro.backends.api.run_inputs`, with
+        the same results.  The rows are packed once per (input layout,
+        held values) and cached on the matrix; held ports are read when
+        the call starts.  With value probes active it falls back to
+        :func:`~repro.backends.api.poke_and_step`, so histograms still
+        see every cycle.
+        """
+        if self._value_probes:
+            return poke_and_step(self, matrix)
+        rows = len(matrix.rows)
+        result = metered_step(
+            self._meter, lambda: self._step(rows, matrix), lambda r: r.cycles
+        )
+        if result.stopped and result.cycles < rows:
+            for port, value in zip(matrix.ports, matrix.rows[-1]):
+                self.poke(port, value)
+        return result
+
     def cover_counts(self) -> CoverCounts:
         """Saturating cover counters keyed by canonical hierarchical name."""
         n = self._clib.n_covers
@@ -923,14 +1053,31 @@ class CSimulation:
         self._stopped = StepResult(0, True, stop.name, stop.exit_code)
         return StepResult(done, True, stop.name, stop.exit_code)
 
-    def _step(self, cycles: int) -> StepResult:
+    def _pack(self, matrix: InputMatrix) -> int:
+        """Address of ``matrix`` packed in this artifact's row layout."""
+        driven = set(matrix.ports)
+        unknown = driven - self._input_names
+        if unknown:
+            raise KeyError(f"no such input port: {min(unknown)}")
+        layout = self._clib.layout
+        held = tuple(
+            self._read(name) for name, _, _ in layout if name not in driven
+        )
+        key = (layout, held)
+        packed = matrix.packed.get(key)
+        if packed is None:
+            packed = matrix.packed[key] = pack_matrix(matrix, layout, held)
+        return packed.buffer_info()[0]
+
+    def _step(self, cycles: int, matrix: Optional[InputMatrix] = None) -> StepResult:
         if cycles > 0 and self._stopped is not None:
             halted = self._stopped
             return StepResult(0, True, halted.stop_name, halted.exit_code)
         if cycles <= 0:
             return StepResult(0)
         if not self._value_probes:
-            done = int(self._clib.step(self._handle, cycles))
+            inputs = None if matrix is None else self._pack(matrix)
+            done = int(self._clib.step(self._handle, cycles, inputs))
             self.cycle += done
             if done:
                 self._dirty = True
@@ -943,7 +1090,7 @@ class CSimulation:
             for signal, histogram in self._value_probes.items():
                 value = self._read(signal)
                 histogram[value] = histogram.get(value, 0) + 1
-            done += int(self._clib.step(self._handle, 1))
+            done += int(self._clib.step(self._handle, 1, None))
             self.cycle = self.cycle + 1
             self._dirty = True
             result = self._halted_result(done)
@@ -1043,7 +1190,11 @@ class CBackend:
                 # Truncated, corrupt, or ABI-stale artifact: rebuild it
                 # from the cached source — a bad .so can only ever cost
                 # a recompile, never a crash or a wrong simulation.
-                pass
+                # dlopen matches already-loaded objects by path, so the
+                # rejected one would be handed back for so_path: load
+                # the rebuilt artifact through a private copy instead.
+                build_shared_object(source, cc, so_path)
+                return _CompiledLib(_private_copy(so_path), entry.model)
         build_shared_object(source, cc, so_path)
         return _CompiledLib(so_path, entry.model)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts
+from ..backends.api import CoverCounts, InputMatrix, run_inputs
 from ..coverage.common import CoverageDB, InstanceTree
 from ..passes.base import CompileState
 
@@ -94,6 +94,7 @@ class FuzzHarness:
             for p in self._model.inputs
             if p.name not in ("clock", "reset")
         ]
+        self._columns = tuple(p.name for p in self.ports)
         self.bits_per_cycle = sum(p.width for p in self.ports)
         self.bytes_per_cycle = max((self.bits_per_cycle + 7) // 8, 1)
         self.executions = 0
@@ -106,19 +107,22 @@ class FuzzHarness:
         full cycle rather than dropped, so appending a single byte to an
         input always changes the decoded stimulus.
         """
-        vectors = []
+        return [dict(zip(self._columns, row)) for row in self.decode_rows(data)]
+
+    def decode_rows(self, data: bytes) -> list[tuple[int, ...]]:
+        """:meth:`decode` as rows of values in :attr:`ports` order."""
+        rows = []
         n_cycles = -(-len(data) // self.bytes_per_cycle)
         n_cycles = min(max(n_cycles, 1), self.max_cycles)
         for cycle in range(n_cycles):
             chunk = data[cycle * self.bytes_per_cycle : (cycle + 1) * self.bytes_per_cycle]
             value = int.from_bytes(chunk.ljust(self.bytes_per_cycle, b"\0"), "little")
-            frame = {}
-            offset = 0
+            row = []
             for port in self.ports:
-                frame[port.name] = (value >> offset) & ((1 << port.width) - 1)
-                offset += port.width
-            vectors.append(frame)
-        return vectors
+                row.append(value & ((1 << port.width) - 1))
+                value >>= port.width
+            rows.append(tuple(row))
+        return rows
 
     def _fresh_sim(self):
         template = self._template
@@ -140,14 +144,10 @@ class FuzzHarness:
         """Run one fuzz input from reset; returns this run's cover counts."""
         sim = self._fresh_sim()
         self._reset(sim)
-        vectors = self.decode(data)
-        for frame in vectors:
-            for name, value in frame.items():
-                sim.poke(name, value)
-            result = sim.step(1)
-            self.cycles_executed += 1
-            if result.stopped:
-                break
+        result = run_inputs(sim, InputMatrix(self._columns, self.decode_rows(data)))
+        # a row counts as executed when its edge was attempted: a design
+        # that already stopped during reset still spends the first row
+        self.cycles_executed += max(result.cycles, 1)
         self.executions += 1
         return sim.cover_counts()
 
@@ -172,7 +172,7 @@ class FuzzHarness:
         for lane in range(n, sim.lanes):
             sim.retire_lane(lane)
         self._reset(sim)
-        frames = [self.decode(data) for data in chunk]
+        frames = [self.decode_rows(data) for data in chunk]
         done = [False] * n
         cycle = 0
         while True:
@@ -189,11 +189,11 @@ class FuzzHarness:
                 live.append(lane)
             if not live:
                 break
-            for port in self.ports:
+            for column, port in enumerate(self.ports):
                 sim.poke_lanes(
                     port.name,
                     [
-                        frames[lane][cycle][port.name]
+                        frames[lane][cycle][column]
                         if not done[lane] and cycle < len(frames[lane])
                         else 0
                         for lane in range(n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..backends.api import CoverCounts
+from ..backends.api import CoverCounts, InputMatrix, StepResult, run_inputs
 from .reader import VcdData, parse_vcd
 from .writer import VcdRecorder
 
@@ -29,7 +29,13 @@ def record_inputs(sim, input_widths: dict[str, int], drive: Callable, cycles: in
 
 
 class InputReplay:
-    """Replays recorded input vectors into a simulation."""
+    """Replays recorded input vectors into a simulation.
+
+    The recording becomes one :class:`~repro.backends.api.InputMatrix`
+    (a column per recorded signal, a row per cycle), built once and
+    reused by every :meth:`run`, so a backend that packs the matrix for
+    a native call packs it once, not once per replay.
+    """
 
     def __init__(self, vcd_text_or_data, inputs: Optional[list[str]] = None) -> None:
         data = (
@@ -39,25 +45,28 @@ class InputReplay:
         )
         self.data = data
         names = inputs if inputs is not None else list(data.signals)
-        self.vectors = data.as_cycles(names)
         self.names = names
+        self.matrix = InputMatrix(
+            names, [tuple(v[n] for n in names) for v in data.as_cycles(names)]
+        )
 
     @property
     def cycles(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix.rows)
 
-    def run(self, sim, cycles: Optional[int] = None) -> None:
-        """Poke each recorded vector and step, for ``cycles`` (default all)."""
-        limit = self.cycles if cycles is None else min(cycles, self.cycles)
-        poke = sim.poke
-        step = sim.step
-        previous: dict[str, int] = {}
-        for vector in self.vectors[:limit]:
-            for name, value in vector.items():
-                if previous.get(name) != value:
-                    poke(name, value)
-                    previous[name] = value
-            step(1)
+    def run(self, sim, cycles: Optional[int] = None) -> StepResult:
+        """Drive each recorded vector for one edge, for ``cycles`` (default all).
+
+        Goes through :func:`~repro.backends.api.run_inputs`, so a stop
+        ends the replay early; the returned :class:`StepResult` says how
+        many edges ran and which stop fired.  Recorded inputs end at the
+        last replayed vector's values either way.  Inputs the recording
+        lacks keep the simulation's values.
+        """
+        matrix = self.matrix
+        if cycles is not None and cycles < self.cycles:
+            matrix = InputMatrix(self.names, matrix.rows[: max(cycles, 0)])
+        return run_inputs(sim, matrix)
 
 
 def replay_counts(backend, state_or_circuit, replay: InputReplay) -> CoverCounts:

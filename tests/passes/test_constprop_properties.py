@@ -17,7 +17,7 @@ Three invariants, driven by random expression trees:
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.absint import AbsVal, const, eval_primop
@@ -31,6 +31,7 @@ from repro.ir import (
     bit_width,
     is_signed,
     mask,
+    prim,
     print_expr,
 )
 from repro.ir.traversal import is_literal, literal_value
@@ -73,6 +74,7 @@ class TestSimplifyDeep:
         assert print_expr(twice) == print_expr(once)
 
     @given(expressions(FREE_LEAVES, depth=3))
+    @example(prim("not", prim("not", Ref("s", SIntType(6)))))
     @settings(max_examples=200, deadline=None)
     def test_preserves_width_and_sign(self, expr):
         out = simplify_deep(expr)

@@ -109,3 +109,52 @@ class TestReplay:
         fresh = TreadleBackend().compile(circuit)
         replay.run(fresh, cycles=5)
         assert fresh.peek("total") == 5
+
+
+    def test_replay_stops_with_the_design_and_reports_it(self):
+        """A stop mid-replay ends it: the run returns the aggregate
+        result, steps nothing more, and leaves the recorded inputs at the
+        last vector's values, on every scalar backend."""
+        import warnings
+
+        from repro.backends import BACKENDS, StepResult
+
+        circuit = elaborate(_HaltingAccumulator())
+        sim = TreadleBackend().compile(circuit)
+        writer = VcdRecorder(sim, {"en": 1, "data": 8})
+        sim.poke("en", 1)
+        for value in (60, 50, 7, 9):
+            sim.poke("data", value)
+            writer.cycle(1)
+        sim.poke("en", 0)
+        writer.cycle(3)
+        replay = InputReplay(writer.finish())
+        assert replay.cycles == 7
+        for name, backend in BACKENDS.items():
+            if name == "swarm":
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fresh, stepped = backend().compile(circuit), backend().compile(circuit)
+            # acc is 110 after the second edge; the stop fires on the third
+            assert replay.run(fresh) == StepResult(3, True, "over", 2), name
+            assert fresh.cycle == 3, name
+            assert (fresh.peek("en"), fresh.peek("data")) == (0, 9), name
+            for row in replay.matrix.rows:
+                for port, value in zip(replay.names, row):
+                    stepped.poke(port, value)
+                stepped.step(1)
+            assert fresh.cover_counts() == stepped.cover_counts(), name
+
+
+class _HaltingAccumulator(Module):
+    def build(self, m):
+        en = m.input("en")
+        data = m.input("data", 8)
+        total = m.output("total", 16)
+        acc = m.reg("acc", 16, init=0)
+        with m.when(en):
+            acc <<= acc + data
+        total <<= acc
+        m.cover(acc > 100, "past_hundred")
+        m.stop(acc > 100, 2, "over")
