@@ -16,6 +16,7 @@ symbol                               role
 ``repro_step(s, n, in)``             run ``n`` rising edges, return cycles
                                      done; ``in`` is NULL or an input matrix
 ``repro_halted``                     fired stop index, or -1 while running
+``repro_set_halted``                 set or clear that stop latch
 ``repro_poke`` / ``repro_peek``      write an input / read any signal by index
 ``repro_read_covers``                copy the raw 64-bit cover counters out
 ``repro_abi_version`` & friends      load-time sanity checks on the artifact
@@ -23,7 +24,7 @@ symbol                               role
                                      and matrix row-word counts)
 ==================================== ========================================
 
-The input matrix (ABI version 2) is row-major ``uint64_t`` words, one row
+The input matrix (since ABI version 2) is row-major ``uint64_t`` words, one row
 per edge.  A row holds every model input in ``model.inputs`` order (see
 :func:`input_layout`): one word per port, or two, low word first, for a
 port wider than 64 bits.  ``repro_step`` keeps a single cycle loop: with
@@ -99,7 +100,7 @@ from .treadle import TreadleBackend
 C_EMITTER_VERSION = 2
 
 #: Version stamped into (and checked out of) every generated artifact.
-C_ABI_VERSION = 2
+C_ABI_VERSION = 3
 
 #: Every value crosses the ABI as this many little-endian 64-bit words,
 #: regardless of the model's word width — peek/poke are not hot paths.
@@ -687,6 +688,8 @@ def generate_c_source(model: CircuitModel) -> str:
     b.emit()
 
     b.emit("int32_t repro_halted(void* p) { return ((state_t*)p)->halted; }")
+    b.emit("void repro_set_halted(void* p, int32_t index) "
+           "{ ((state_t*)p)->halted = index; }")
     b.emit()
 
     # -- poke: inputs only, value pre-masked to the port width --------------
@@ -857,6 +860,8 @@ class _CompiledLib:
             ]
             lib.repro_halted.restype = ctypes.c_int32
             lib.repro_halted.argtypes = [ctypes.c_void_p]
+            lib.repro_set_halted.restype = None
+            lib.repro_set_halted.argtypes = [ctypes.c_void_p, ctypes.c_int32]
             words = ctypes.POINTER(ctypes.c_uint64)
             lib.repro_poke.restype = None
             lib.repro_poke.argtypes = [ctypes.c_void_p, ctypes.c_uint32, words]
@@ -888,12 +893,17 @@ class _CompiledLib:
         self.index = {name: i for i, name in enumerate(names)}
         self.layout = tuple(input_layout(model))
         self.n_covers = len(model.covers)
+        #: cover names in slot order; ``unique_covers`` allows the
+        #: one-step readout (no merging of slots that share a name)
+        self.cover_names = tuple(cover.name for cover in model.covers)
+        self.unique_covers = len(set(self.cover_names)) == self.n_covers
         self.create = lib.repro_create
         self.destroy = lib.repro_destroy
         self.reset = lib.repro_reset
         self.settle = lib.repro_settle
         self.step = lib.repro_step
         self.halted = lib.repro_halted
+        self.set_halted = lib.repro_set_halted
         self.poke = lib.repro_poke
         self.peek = lib.repro_peek
         self.read_covers = lib.repro_read_covers
@@ -994,12 +1004,15 @@ class CSimulation:
 
     def cover_counts(self) -> CoverCounts:
         """Saturating cover counters keyed by canonical hierarchical name."""
-        n = self._clib.n_covers
+        clib = self._clib
+        n = clib.n_covers
         raw = (ctypes.c_uint64 * max(1, n))()
-        self._clib.read_covers(self._handle, raw)
+        clib.read_covers(self._handle, raw)
+        if clib.unique_covers and self._counter_width is None:
+            return dict(zip(clib.cover_names, raw[:n]))
         merged: dict[str, int] = {}
-        for i, cover in enumerate(self._model.covers):
-            merged[cover.name] = merged.get(cover.name, 0) + raw[i]
+        for name, count in zip(clib.cover_names, raw[:n]):
+            merged[name] = merged.get(name, 0) + count
         return {
             name: saturate(count, self._counter_width)
             for name, count in merged.items()
@@ -1019,6 +1032,23 @@ class CSimulation:
     def stopped(self) -> bool:
         """Whether a Stop statement has halted this simulation."""
         return self._stopped is not None
+
+    @property
+    def stop_latch(self):
+        """The latched stop (opaque), or None while running.
+
+        The FireSim driver clears it to clock a scan-out after the target
+        stopped and then puts back the value it read.
+        """
+        if self._stopped is None:
+            return None
+        return self._clib.halted(self._handle), self._stopped
+
+    @stop_latch.setter
+    def stop_latch(self, latch) -> None:
+        """Restore a latch read from :attr:`stop_latch`, or clear it (None)."""
+        index, self._stopped = latch if latch is not None else (-1, None)
+        self._clib.set_halted(self._handle, index)
 
     def fork(self) -> "CSimulation":
         """A fresh simulation of the same design, sharing the loaded .so."""

@@ -127,8 +127,18 @@ class FireSimSimulation:
         return bits
 
     def cover_counts(self) -> CoverCounts:
-        """Pause, freeze counters, clock out the chain, restore, resume."""
+        """Pause, freeze counters, clock out the chain, restore, resume.
+
+        The scan clock belongs to the host, not the target: after a
+        ``stop`` the host's stop latch is lifted for the rotation and put
+        back afterwards (the scan-chain pass keeps stops from firing while
+        ``scan_en`` is high), so a stopped target still reads out its
+        counts.  Hosts without a ``stop_latch`` scan as they are.
+        """
         sim = self._sim
+        latch = getattr(sim, "stop_latch", None)
+        if latch is not None:
+            sim.stop_latch = None
         sim.poke("cover_en", 0)  # freeze counts
         sim.poke("scan_en", 1)
         try:
@@ -150,6 +160,8 @@ class FireSimSimulation:
             sim.poke("scan_en", 0)
             sim.poke("scan_in", 0)
             sim.poke("cover_en", 1)
+            if latch is not None:
+                sim.stop_latch = latch
         return self.info.decode(bits)
 
     def scan_out_seconds(self, scan_clock_hz: int = SCAN_CLOCK_HZ) -> float:

@@ -9,6 +9,7 @@ This module reproduces that pass as real, simulable RTL:
 * a ``scan_en`` input switches all counters into one long shift register
   (``scan_in`` -> counter 0 -> ... -> counter N-1 -> ``scan_out``),
 * a ``cover_en`` input lets the host freeze counting,
+* ``scan_en`` also masks every ``stop``, so a scan never halts the target,
 * the pass emits the chain order metadata the driver needs to re-associate
   scanned-out bits with cover names.
 
@@ -19,7 +20,7 @@ the counts a native backend reports for the same stimulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ...ir.namespace import Namespace
@@ -34,6 +35,7 @@ from ...ir.nodes import (
     Port,
     Ref,
     Stmt,
+    Stop,
     UIntLiteral,
     and_,
     not_,
@@ -107,7 +109,12 @@ class CoverageScanChainPass(Pass):
         cover_paths = state.cover_paths or {}
 
         covers = [s for s in module.body if isinstance(s, Cover)]
-        body = [s for s in module.body if not isinstance(s, Cover)]
+        scan_en = Ref("scan_en", UIntType(1))
+        # the target is paused while the host scans: no stop fires then
+        body = [
+            replace(s, en=and_(s.en, not_(scan_en))) if isinstance(s, Stop) else s
+            for s in module.body if not isinstance(s, Cover)
+        ]
         ns = Namespace(declared_names(module))
 
         width = self.counter_width
@@ -126,7 +133,6 @@ class CoverageScanChainPass(Pass):
         ports.append(Port("scan_in", "input", UIntType(1)))
         ports.append(Port("scan_out", "output", UIntType(1)))
         cover_en = Ref("cover_en", UIntType(1))
-        scan_en = Ref("scan_en", UIntType(1))
         chain_bit = Ref("scan_in", UIntType(1))
 
         info = ScanChainInfo(width)

@@ -330,6 +330,20 @@ class TreadleSimulation:
         """Whether a stop statement has halted this simulation."""
         return self._stopped is not None
 
+    @property
+    def stop_latch(self):
+        """The latched stop (opaque), or None while running.
+
+        The FireSim driver clears it to clock a scan-out after the target
+        stopped and then puts back the value it read.
+        """
+        return self._stopped
+
+    @stop_latch.setter
+    def stop_latch(self, latch) -> None:
+        """Restore a latch read from :attr:`stop_latch`, or clear it (None)."""
+        self._stopped = latch
+
     def fork(self) -> "TreadleSimulation":
         """A fresh simulation of the same design (shares the static model)."""
         return TreadleSimulation(self._model, self._counter_width, plan=self._plan)

@@ -268,6 +268,20 @@ class VerilatorSimulation:
         """Whether a stop statement has halted this simulation."""
         return self._sim.halted is not None
 
+    @property
+    def stop_latch(self):
+        """The latched stop (opaque), or None while running.
+
+        The FireSim driver clears it to clock a scan-out after the target
+        stopped and then puts back the value it read.
+        """
+        return self._sim.halted
+
+    @stop_latch.setter
+    def stop_latch(self, latch) -> None:
+        """Restore a latch read from :attr:`stop_latch`, or clear it (None)."""
+        self._sim.halted = latch
+
     def value_histogram(self, signal: str) -> dict[int, int]:
         """Histogram from a value probe (efficient cover-values, §6)."""
         index = self._value_probes.index(signal)

@@ -20,7 +20,9 @@ BreakerBoard`, a backend that keeps failing gets its remaining jobs
   gets a *fresh* simulation from the job's factory,
 * **checkpoints** — live ``cover_counts()`` snapshots every K cycles via a
   :class:`~repro.runtime.checkpoint.Checkpointer`, so a job that dies
-  mid-run still contributes its last-good counts, and
+  mid-run still contributes its last-good counts (one readout per
+  boundary; the boundary at the job's end or stop gets no periodic shard,
+  since the complete shard follows at once), and
 * **validated merge with quarantine** — shards are checked against the
   cover namespace before merging; corrupt shards land in the
   :class:`~repro.runtime.validate.QuarantineReport` instead of the merge.
@@ -28,6 +30,7 @@ BreakerBoard`, a backend that keeps failing gets its remaining jobs
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 import threading
@@ -424,19 +427,6 @@ class Executor:
     ) -> Optional[RunFailure]:
         """One supervised forked-process attempt; None means success."""
 
-        def persist(cycle: int, counts: CoverCounts) -> None:
-            if self.checkpointer is not None and self.checkpointer.due(cycle):
-                self.checkpointer.write(
-                    Shard(
-                        job_id=job.job_id,
-                        backend=job.backend_name,
-                        cycle=cycle,
-                        counts=counts,
-                        complete=False,
-                    )
-                )
-            self._report_progress(job.job_id, cycle, counts)
-
         result = run_process_attempt(
             job,
             attempt,
@@ -444,7 +434,7 @@ class Executor:
             checkpoint_every=(
                 self.checkpointer.every if self.checkpointer is not None else 0
             ),
-            on_shard=persist,
+            on_shard=functools.partial(self._at_boundary, job),
         )
         if result.status == "ok":
             outcome.counts = result.counts or {}
@@ -478,6 +468,8 @@ class Executor:
             sim.step(job.reset_cycles)
             sim.poke("reset", 0)
         cycle = 0
+        counts: Optional[CoverCounts] = None
+        counts_cycle = -1
         while cycle < job.cycles:
             if worker.abandoned.is_set():
                 return  # watchdog gave up on this attempt; leave no traces
@@ -497,29 +489,42 @@ class Executor:
                 and not worker.abandoned.is_set()
             ):
                 counts = dict(sim.cover_counts())
-                self.checkpointer.write(
-                    Shard(
-                        job_id=job.job_id,
-                        backend=job.backend_name,
-                        cycle=cycle,
-                        counts=counts,
-                        complete=False,
-                    )
-                )
-                self._report_progress(job.job_id, cycle, counts)
+                counts_cycle = cycle
+                self._at_boundary(job, cycle, counts, result.stopped)
             if result.stopped:
                 break
             if result.cycles == 0:
                 break  # defensive: a sim refusing to advance must not spin
         if worker.abandoned.is_set():
             return
-        worker.counts = dict(sim.cover_counts())
+        if counts_cycle != cycle:
+            counts = dict(sim.cover_counts())
+        worker.counts = counts
 
-    def _report_progress(self, job_id: str, cycle: int, counts) -> None:
+    def _at_boundary(
+        self, job: RunJob, cycle: int, counts: CoverCounts, stopped: bool
+    ) -> None:
+        """One checkpoint boundary of an attempt (thread or process).
+
+        A periodic shard is written only when the attempt goes on past
+        the boundary: at the job's last cycle or its stop, the complete
+        shard written right after the attempt supersedes it.  The
+        ``progress`` hook fires at every boundary, the last included.
+        """
+        if cycle < job.cycles and not stopped:
+            self.checkpointer.write(
+                Shard(
+                    job_id=job.job_id,
+                    backend=job.backend_name,
+                    cycle=cycle,
+                    counts=counts,
+                    complete=False,
+                )
+            )
         if self.progress is None:
             return
         try:
-            self.progress(job_id, cycle, dict(counts))
+            self.progress(job.job_id, cycle, dict(counts))
         except Exception:  # a broken observer must not fail the attempt
             logger.debug("progress hook raised", exc_info=True)
 

@@ -11,9 +11,10 @@ The protocol, over a one-way ``multiprocessing`` pipe (child → parent):
 
 * ``("beat", cycle, digest)`` — liveness + progress: the last completed
   cycle and a CRC-32 digest of the live cover counts,
-* ``("shard", cycle, counts)`` — a periodic checkpoint snapshot; the
-  *parent* persists it through its :class:`~repro.runtime.checkpoint.\
-Checkpointer`, so a killed worker still salvages its last-good counts,
+* ``("shard", cycle, counts, stopped)`` — the counts at a checkpoint
+  boundary, and whether the target stopped there; the *parent* persists
+  them through its :class:`~repro.runtime.checkpoint.Checkpointer`, so a
+  killed worker still salvages its last-good counts,
 * ``("done", cycles_run, counts)`` — the attempt finished,
 * ``("error", kind, message, cycle)`` — the attempt raised; ``kind`` is a
   :class:`~repro.backends.api.RunFailure` kind string,
@@ -304,6 +305,15 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
         batch_start = obs.tracer.clock() if obs.enabled else 0.0
         last_batch_cycle = 0
         cycle = 0
+        read_at, counts = -1, {}
+
+        def readout(at: int) -> CoverCounts:
+            """The live counts, read from the simulation once per cycle."""
+            nonlocal read_at, counts
+            if read_at != at:
+                read_at, counts = at, dict(sim.cover_counts())
+            return counts
+
         while cycle < job.cycles:
             if job.stimulus is not None:
                 # per-cycle stimulus pins the driver to single stepping
@@ -327,7 +337,7 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
             if result.cycles and cycles_done % policy.heartbeat_cycles == 0:
                 mark_batch(cycles_done - last_batch_cycle)
                 last_batch_cycle = cycles_done
-                conn.send((BEAT, cycles_done, counts_digest(sim.cover_counts())))
+                conn.send((BEAT, cycles_done, counts_digest(readout(cycles_done))))
             if (
                 result.cycles
                 and checkpoint_every
@@ -337,7 +347,8 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
                     "shard-stream", cat="worker",
                     backend=job.backend_name, cycle=cycles_done,
                 ):
-                    conn.send((SHARD, cycles_done, dict(sim.cover_counts())))
+                    conn.send((SHARD, cycles_done, readout(cycles_done),
+                               result.stopped))
                 _flush_telemetry(conn, baseline)
             if result.stopped:
                 break
@@ -351,7 +362,7 @@ def _child_main(conn, job, attempt: int, policy: SupervisionPolicy,
                 backend=job.backend_name, attempt=attempt, cycles=cycles_done,
             )
         _flush_telemetry(conn, baseline)
-        conn.send((DONE, cycles_done, dict(sim.cover_counts())))
+        conn.send((DONE, cycles_done, readout(cycles_done)))
     except MemoryError:
         # The sim's allocations still pin address space; a well-behaved
         # fault frees before raising (see FaultySimulation), and this small
@@ -389,13 +400,13 @@ def run_process_attempt(
     attempt: int,
     policy: SupervisionPolicy,
     checkpoint_every: int = 0,
-    on_shard: Optional[Callable[[int, CoverCounts], None]] = None,
+    on_shard: Optional[Callable[[int, CoverCounts, bool], None]] = None,
 ) -> ProcessAttemptResult:
     """Run one attempt of ``job`` in a supervised forked process.
 
-    ``on_shard(cycle, counts)`` is invoked in the *parent* for every
-    checkpoint snapshot the child streams up — the caller persists them,
-    so a later SIGKILL still salvages the last snapshot.
+    ``on_shard(cycle, counts, stopped)`` is invoked in the *parent* for
+    every checkpoint boundary the child streams up — the caller persists
+    them, so a later SIGKILL still salvages the last snapshot.
     """
     if not process_isolation_available():
         raise RuntimeError(
@@ -453,10 +464,10 @@ def run_process_attempt(
                 elif tag == COUNTERS:
                     obs.ingest_child_counters(message[1])
                 elif tag == SHARD:
-                    _, cycle, counts = message
+                    _, cycle, counts, stopped = message
                     result.last_beat_cycle = cycle
                     if on_shard is not None:
-                        on_shard(cycle, counts)
+                        on_shard(cycle, counts, stopped)
                 elif tag == DONE:
                     _, result.cycles_run, result.counts = message
                     result.status = "ok"

@@ -33,6 +33,7 @@ from repro.backends.model import build_model
 from repro.backends.treadle import TreadleSimulation
 from repro.hcl import Module, elaborate
 from repro.passes import lower
+from repro.passes.base import CompileState
 from repro.runtime.telemetry import obs
 
 from ..helpers import random_circuits, random_stimulus, run_with_stimulus
@@ -389,6 +390,56 @@ class TestFallback:
         assert sim.peek("o") == ref.peek("o")
 
 
+class _Readout(Module):
+    def build(self, m):
+        en = m.input("en")
+        cnt = m.reg("cnt", 8, init=0)
+        with m.when(en):
+            cnt <<= cnt + 1
+        m.cover(en, "on")
+        m.cover(cnt[0] == 1, "odd")
+        m.cover(cnt == 200, "never")
+
+
+@needs_cc
+class TestCoverReadout:
+    """``cover_counts`` equals the interpreter's on both readout paths:
+    the one-step readout (unique names, unbounded counters) and the
+    merge-then-saturate fallback."""
+
+    @staticmethod
+    def _counts(state, counter_width=None):
+        c = CBackend().compile_state(state, counter_width=counter_width)
+        ref = TreadleBackend(jit=False).compile_state(
+            state, counter_width=counter_width)
+        for sim in (c, ref):
+            sim.poke("reset", 1)
+            sim.step()
+            sim.poke("reset", 0)
+            sim.poke("en", 1)
+            sim.step(40)
+        return c, c.cover_counts(), ref.cover_counts()
+
+    def test_unique_names_unbounded_counters(self):
+        sim, counts, reference = self._counts(
+            lower(elaborate(_Readout()), flatten=True))
+        assert sim._clib.unique_covers
+        assert counts == reference == {"on": 40, "odd": 20, "never": 0}
+
+    def test_duplicate_cover_names_merge(self):
+        flat = lower(elaborate(_Readout()), flatten=True)
+        state = CompileState(
+            flat.circuit, {"on": "twice", "odd": "twice"}, flat.metadata)
+        sim, counts, reference = self._counts(state)
+        assert not sim._clib.unique_covers
+        assert counts == reference == {"twice": 60, "never": 0}
+
+    def test_counter_width_saturates(self):
+        _, counts, reference = self._counts(
+            lower(elaborate(_Readout()), flatten=True), counter_width=4)
+        assert counts == reference == {"on": 15, "odd": 15, "never": 0}
+
+
 @needs_cc
 class TestGeneratedSource:
     def test_source_is_c99_with_stable_abi_symbols(self):
@@ -396,8 +447,8 @@ class TestGeneratedSource:
         source = generate_c_source(model)
         for symbol in (
             "repro_create", "repro_destroy", "repro_reset", "repro_settle",
-            "repro_step", "repro_halted", "repro_poke", "repro_peek",
-            "repro_read_covers", "repro_abi_version",
+            "repro_step", "repro_halted", "repro_set_halted", "repro_poke",
+            "repro_peek", "repro_read_covers", "repro_abi_version",
         ):
             assert symbol in source
         assert "__uint128_t" not in source  # 8-bit counter stays on u64

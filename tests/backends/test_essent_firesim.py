@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.backends import EssentBackend, TreadleBackend, VerilatorBackend
+from repro.backends import (
+    EssentBackend,
+    StepResult,
+    TreadleBackend,
+    VerilatorBackend,
+)
 from repro.backends.firesim import (
     CoverageScanChainPass,
     FireSimBackend,
@@ -117,6 +122,58 @@ class TestScanChainPass:
         firesim.poke("data", 0)
         firesim.step(20)  # acc stays 16: cover true every cycle, saturates at 3
         assert firesim.cover_counts()["sixteen"] == 3
+
+
+class _Halting(Module):
+    def build(self, m):
+        en = m.input("en")
+        data = m.input("data", 8)
+        total = m.output("total", 16)
+        acc = m.reg("acc", 16, init=0)
+        with m.when(en):
+            acc <<= acc + data
+        total <<= acc
+        m.cover(en, "enabled")
+        m.cover(acc > 100, "past_hundred")
+        m.stop(acc > 100, 2, "over")
+
+
+def _c_host():
+    from repro.backends.cbackend import CBackend, find_compiler
+
+    if find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    return CBackend()
+
+
+class TestFireSimStop:
+    """A stopped target still scans out its counts, on every host."""
+
+    @pytest.mark.parametrize("host", [
+        VerilatorBackend, TreadleBackend, lambda: TreadleBackend(jit=False),
+        _c_host,
+    ], ids=["verilator", "treadle-jit", "treadle", "c"])
+    def test_stop_parity_with_the_interpreter(self, host):
+        state = lower(elaborate(_Halting()), flatten=True)
+        firesim = FireSimBackend(host_backend=host()).compile_state(state)
+        reference = TreadleBackend(jit=False).compile_state(
+            state, counter_width=16)
+        results = []
+        for sim in (firesim, reference):
+            sim.poke("reset", 1)
+            sim.step()
+            sim.poke("reset", 0)
+            sim.poke("en", 1)
+            sim.poke("data", 30)
+            results.append((sim.step(10), sim.step(2)))
+        assert results[0] == results[1]
+        assert results[0][0] == StepResult(5, True, "over", 2)
+        expected = {"enabled": 5, "past_hundred": 1}
+        assert reference.cover_counts() == expected
+        assert firesim.cover_counts() == expected
+        # the scan leaves the stop latched and the counts intact
+        assert firesim.step(3) == StepResult(0, True, "over", 2)
+        assert firesim.cover_counts() == expected
 
 
 class TestResourceModel:

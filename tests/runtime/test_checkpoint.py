@@ -5,7 +5,49 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime import Checkpointer, Shard, ShardError
+from repro.runtime import (
+    Checkpointer,
+    DiskFaultPlan,
+    Executor,
+    FaultyOS,
+    PowerLoss,
+    RunJob,
+    Shard,
+    ShardError,
+)
+from repro.runtime.checkpoint import SHARD_SUFFIX
+
+
+def indented_json(shard):
+    """``shard`` in the indented layout older writers produced."""
+    return json.dumps(
+        {
+            "version": 1,
+            "job_id": shard.job_id,
+            "backend": shard.backend,
+            "cycle": shard.cycle,
+            "complete": shard.complete,
+            "counts": shard.counts,
+            "origin": shard.origin,
+        },
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
+
+
+@pytest.fixture
+def disk_reads(monkeypatch):
+    """Counts the guard's read-backs: every shard file read from disk."""
+    reads = []
+    real = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        if self.name.endswith(SHARD_SUFFIX):
+            reads.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    return reads
 
 
 class TestShardRoundTrip:
@@ -47,6 +89,43 @@ class TestShardRoundTrip:
         assert not Checkpointer(tmp_path, every=0).due(100)
 
 
+class TestCompactFormat:
+    def test_compact_shard_round_trips(self, tmp_path):
+        checkpointer = Checkpointer(tmp_path)
+        shard = Shard("j", "c", 800, {"top.a": 3, "top.b": 0}, complete=True,
+                      origin="w1#4")
+        path = checkpointer.write(shard)
+        text = path.read_text()
+        # one line of JSON, no indentation, and the same value as before
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert ": " not in text and ", " not in text
+        assert json.loads(text) == json.loads(indented_json(shard))
+        loaded = checkpointer.load("j")
+        assert (loaded.job_id, loaded.backend, loaded.cycle, loaded.counts,
+                loaded.complete, loaded.origin) == (
+            "j", "c", 800, {"top.a": 3, "top.b": 0}, True, "w1#4")
+
+    def test_indented_shard_loads_resumes_and_merges(self, tmp_path):
+        """A shard in the older indented layout still loads, lets a
+        resumed campaign skip its job, and merges."""
+        checkpointer = Checkpointer(tmp_path)
+        done = Shard("old", "treadle", 60, {"a": 2, "b": 0}, complete=True)
+        checkpointer.shard_path("old").write_text(indented_json(done))
+        shards, unreadable = checkpointer.load_all()
+        assert unreadable == [] and [s.counts for s in shards] == [done.counts]
+
+        def never_called():
+            raise AssertionError("a resumed job must not re-simulate")
+
+        result = Executor(checkpointer=checkpointer).run_campaign(
+            [RunJob("old", "treadle", never_called, 60)],
+            known_names=["a", "b"], resume=True,
+        )
+        assert [o.status for o in result.outcomes] == ["resumed"]
+        assert result.merged == {"a": 2, "b": 0}
+        assert not result.quarantine.quarantined
+
+
 class TestDowngradeGuard:
     def test_incomplete_never_overwrites_complete(self, tmp_path):
         """A straggler attempt's periodic snapshot cannot downgrade a
@@ -75,6 +154,67 @@ class TestDowngradeGuard:
         cp.shard_path("j").write_text("garbage")
         assert cp.write(Shard("j", "b", 10, {"x": 1})) is not None
         assert cp.load("j").cycle == 10
+
+    def test_own_writes_are_not_read_back(self, tmp_path, disk_reads):
+        cp = Checkpointer(tmp_path)
+        cp.write(Shard("j", "b", 10, {"x": 10}))
+        assert disk_reads == ["j" + SHARD_SUFFIX]  # never written here: look
+        disk_reads.clear()
+        for cycle in (20, 30):
+            assert cp.write(Shard("j", "b", cycle, {"x": cycle})) is not None
+        cp.write(Shard("j", "b", 40, {"x": 40}, complete=True))
+        assert cp.write(Shard("j", "b", 50, {"x": 50})) is None
+        assert disk_reads == []
+        assert cp.load("j").cycle == 40
+
+    def test_refused_after_another_checkpointers_complete_write(
+        self, tmp_path, disk_reads
+    ):
+        """The first writer's record says incomplete; the second writer's
+        rename changes the file, so the guard reads the disk."""
+        first, second = Checkpointer(tmp_path), Checkpointer(tmp_path)
+        first.write(Shard("j", "b", 10, {"x": 1}))
+        second.write(Shard("j", "b", 60, {"x": 6}, complete=True))
+        disk_reads.clear()
+        assert first.write(Shard("j", "b", 20, {"x": 2})) is None
+        assert disk_reads == ["j" + SHARD_SUFFIX]
+        kept = first.load("j")
+        assert kept.complete and kept.cycle == 60
+
+    def test_refused_for_a_path_first_touched_on_disk(self, tmp_path, disk_reads):
+        cp = Checkpointer(tmp_path)
+        done = Shard("j", "b", 60, {"x": 6}, complete=True)
+        cp.shard_path("j").write_text(done.to_json() + "\n")
+        assert cp.write(Shard("j", "b", 20, {"x": 2})) is None
+        assert disk_reads == ["j" + SHARD_SUFFIX]
+
+    def test_refused_after_own_incomplete_shard_was_replaced(self, tmp_path):
+        """Another writer rewrites this instance's incomplete shard in
+        place (same inode) with a complete one: the stat check notices."""
+        cp = Checkpointer(tmp_path)
+        path = cp.write(Shard("j", "b", 10, {"x": 1}))
+        path.write_text(Shard("j", "b", 60, {"x": 6}, complete=True).to_json())
+        assert cp.write(Shard("j", "b", 20, {"x": 2})) is None
+        assert cp.load("j").cycle == 60
+
+    def test_torn_write_leaves_the_record_unchanged(self, tmp_path, disk_reads):
+        partial = Shard("j", "b", 20, {"x": 2})
+        size = len(partial.to_json()) + 1
+        cp = Checkpointer(
+            tmp_path,
+            os_module=FaultyOS(DiskFaultPlan(power_cut_after_bytes=size + 8)),
+        )
+        cp.write(partial)
+        disk_reads.clear()
+        with pytest.raises(PowerLoss):
+            cp.write(Shard("j", "b", 60, {"x": 6}, complete=True))
+        # The record still says incomplete and still matches the file, so
+        # the guard passes the next periodic write without a read-back (the
+        # dead disk then tears that one too).
+        with pytest.raises(PowerLoss):
+            cp.write(Shard("j", "b", 30, {"x": 3}))
+        assert disk_reads == []
+        assert cp.load("j").cycle == 20
 
 
 class TestMalformedShards:

@@ -7,13 +7,14 @@ import pytest
 from repro.backends import SimulationCrash, TreadleBackend
 from repro.coverage import all_cover_names, instrument
 from repro.designs.gcd import Gcd
-from repro.hcl import elaborate
+from repro.hcl import Module, elaborate
 from repro.runtime import (
     Checkpointer,
     Executor,
     FaultPlan,
     FaultyBackend,
     RunJob,
+    process_isolation_available,
 )
 
 pytestmark = pytest.mark.faults
@@ -331,3 +332,105 @@ class TestCampaign:
     def test_job_rejects_non_positive_cycles(self):
         with pytest.raises(ValueError, match="positive"):
             RunJob("j", "b", lambda: None, cycles=0)
+
+
+class _Halts(Module):
+    """A free-running counter whose ``stop`` fires on the edge at ``at``."""
+
+    def __init__(self, at: int) -> None:
+        super().__init__()
+        self.at = at
+
+    def signature(self):
+        return ("Halts", self.at)
+
+    def build(self, m):
+        count = m.reg("count", 8, init=0)
+        count <<= count + 1
+        m.cover(count[0] == 1, "odd")
+        m.stop(count == self.at - 1, 0, "halt")
+
+
+class _RecordingCheckpointer(Checkpointer):
+    """Records ``(cycle, complete)`` for every shard the executor writes."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.writes = []
+
+    def write(self, shard):
+        self.writes.append((shard.cycle, shard.complete))
+        return super().write(shard)
+
+
+@pytest.fixture(params=["thread", "process"])
+def either_isolation(request):
+    if request.param == "process" and not process_isolation_available():
+        pytest.skip("process isolation requires the fork start method")
+    return request.param
+
+
+class TestCheckpointCadence:
+    """One shard write and one readout per boundary; the boundary at the
+    job's end or stop gets the complete shard only."""
+
+    def test_clean_job_writes_periodic_shards_before_its_end(
+        self, gcd_state, tmp_path, either_isolation
+    ):
+        every, k = 10, 3
+        seen = []
+        checkpointer = _RecordingCheckpointer(tmp_path, every=every)
+        executor = Executor(
+            checkpointer=checkpointer, isolation=either_isolation,
+            progress=lambda job_id, cycle, counts: seen.append((cycle, counts)),
+        )
+        outcome = executor.run_job(
+            make_job(TreadleBackend(), gcd_state, cycles=k * every))
+        assert outcome.status == "ok"
+        assert checkpointer.writes == [(10, False), (20, False), (30, True)]
+        assert [cycle for cycle, _ in seen] == [10, 20, 30]
+        assert seen[-1][1] == outcome.counts
+        assert checkpointer.load("job").counts == outcome.counts
+
+    @pytest.mark.parametrize("at,writes", [
+        (25, [(10, False), (20, False), (25, True)]),
+        (20, [(10, False), (20, True)]),
+    ])
+    def test_stop_writes_no_periodic_shard_at_its_cycle(
+        self, tmp_path, either_isolation, at, writes
+    ):
+        """Stops mid-block (25) and on a boundary (20): either way the
+        stop cycle gets only the complete shard."""
+        state, _ = instrument(elaborate(_Halts(at)), metrics=["line"])
+        seen = []
+        checkpointer = _RecordingCheckpointer(tmp_path, every=10)
+        executor = Executor(
+            checkpointer=checkpointer, isolation=either_isolation,
+            progress=lambda job_id, cycle, counts: seen.append(cycle),
+        )
+        job = RunJob("halts", "treadle",
+                     lambda: TreadleBackend().compile_state(state), 60)
+        outcome = executor.run_job(job)
+        assert (outcome.status, outcome.cycles_run) == ("ok", at)
+        assert checkpointer.writes == writes
+        assert seen == [10, 20]
+
+    def test_one_readout_per_boundary(self, gcd_state, tmp_path):
+        readouts = []
+
+        def make_sim():
+            sim = TreadleBackend().compile_state(gcd_state)
+            real = sim.cover_counts
+
+            def cover_counts():
+                readouts.append(sim.cycle)
+                return real()
+
+            sim.cover_counts = cover_counts
+            return sim
+
+        executor = Executor(checkpointer=Checkpointer(tmp_path, every=10))
+        outcome = executor.run_job(RunJob("job", "treadle", make_sim, 30))
+        assert outcome.status == "ok"
+        # one per boundary; the last one's counts are the final counts
+        assert len(readouts) == 3

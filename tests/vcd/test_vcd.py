@@ -130,6 +130,10 @@ class TestReplay:
         writer.cycle(3)
         replay = InputReplay(writer.finish())
         assert replay.cycles == 7
+        interpreter = TreadleBackend(jit=False).compile(circuit)
+        assert replay.run(interpreter) == StepResult(3, True, "over", 2)
+        expected = interpreter.cover_counts()
+        assert expected == {"past_hundred": 1}
         for name, backend in BACKENDS.items():
             if name == "swarm":
                 continue
@@ -144,7 +148,7 @@ class TestReplay:
                 for port, value in zip(replay.names, row):
                     stepped.poke(port, value)
                 stepped.step(1)
-            assert fresh.cover_counts() == stepped.cover_counts(), name
+            assert fresh.cover_counts() == stepped.cover_counts() == expected, name
 
 
 class _HaltingAccumulator(Module):
