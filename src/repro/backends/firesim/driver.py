@@ -129,16 +129,16 @@ class FireSimSimulation:
     def cover_counts(self) -> CoverCounts:
         """Pause, freeze counters, clock out the chain, restore, resume.
 
-        The scan clock belongs to the host, not the target: after a
-        ``stop`` the host's stop latch is lifted for the rotation and put
-        back afterwards (the scan-chain pass keeps stops from firing while
-        ``scan_en`` is high), so a stopped target still reads out its
-        counts.  Hosts without a ``stop_latch`` scan as they are.
+        The scan clock belongs to the host, not the target: the scan-chain
+        pass holds the target's registers, memories and stops while
+        ``scan_en`` is high, so a scan leaves the target where it was.
+        After a ``stop`` the host's stop latch is lifted for the rotation
+        and put back afterwards, so a stopped target still reads out its
+        counts.
         """
         sim = self._sim
-        latch = getattr(sim, "stop_latch", None)
-        if latch is not None:
-            sim.stop_latch = None
+        latch = sim.stop_latch
+        sim.stop_latch = None
         sim.poke("cover_en", 0)  # freeze counts
         sim.poke("scan_en", 1)
         try:
@@ -160,8 +160,7 @@ class FireSimSimulation:
             sim.poke("scan_en", 0)
             sim.poke("scan_in", 0)
             sim.poke("cover_en", 1)
-            if latch is not None:
-                sim.stop_latch = latch
+            sim.stop_latch = latch
         return self.info.decode(bits)
 
     def scan_out_seconds(self, scan_clock_hz: int = SCAN_CLOCK_HZ) -> float:

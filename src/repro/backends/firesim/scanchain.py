@@ -9,7 +9,10 @@ This module reproduces that pass as real, simulable RTL:
 * a ``scan_en`` input switches all counters into one long shift register
   (``scan_in`` -> counter 0 -> ... -> counter N-1 -> ``scan_out``),
 * a ``cover_en`` input lets the host freeze counting,
-* ``scan_en`` also masks every ``stop``, so a scan never halts the target,
+* ``scan_en`` also pauses the target: while it is high no register,
+  memory write or ``stop`` of the design takes effect, so a scan neither
+  advances nor halts it (FireSim's host stops the target clock; hold
+  muxes model that here),
 * the pass emits the chain order metadata the driver needs to re-associate
   scanned-out bits with cover names.
 
@@ -30,6 +33,7 @@ from ...ir.nodes import (
     Connect,
     Cover,
     DefRegister,
+    MemWrite,
     Module,
     Mux,
     Port,
@@ -110,9 +114,9 @@ class CoverageScanChainPass(Pass):
 
         covers = [s for s in module.body if isinstance(s, Cover)]
         scan_en = Ref("scan_en", UIntType(1))
-        # the target is paused while the host scans: no stop fires then
+        registers = {s.name for s in module.body if isinstance(s, DefRegister)}
         body = [
-            replace(s, en=and_(s.en, not_(scan_en))) if isinstance(s, Stop) else s
+            _paused(s, registers, scan_en)
             for s in module.body if not isinstance(s, Cover)
         ]
         ns = Namespace(declared_names(module))
@@ -161,6 +165,17 @@ class CoverageScanChainPass(Pass):
         new_state = CompileState(new_circuit, {}, dict(state.metadata))
         new_state.metadata["scan_chain"] = info
         return new_state
+
+
+def _paused(stmt: Stmt, registers: set[str], scan_en: Ref) -> Stmt:
+    """``stmt`` with its effect on the target held while ``scan_en`` is high."""
+    if isinstance(stmt, Connect) and stmt.loc.name in registers:
+        return replace(stmt, expr=Mux.make(scan_en, stmt.loc, stmt.expr))
+    if isinstance(stmt, DefRegister) and stmt.reset is not None:
+        return replace(stmt, reset=and_(stmt.reset, not_(scan_en)))
+    if isinstance(stmt, (MemWrite, Stop)):
+        return replace(stmt, en=and_(stmt.en, not_(scan_en)))
+    return stmt
 
 
 def _find_clock(module: Module):

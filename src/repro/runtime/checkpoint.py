@@ -129,11 +129,6 @@ class Checkpointer:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
-    #: path -> (complete, st_ino, st_mtime_ns, st_size) of this instance's
-    #: last successful write there; guarded by ``_lock``
-    _written: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.directory = Path(self.directory)
@@ -169,19 +164,13 @@ class Checkpointer:
         attempt — e.g. a timed-out thread the watchdog abandoned that later
         unwedges — cannot downgrade it to a stale partial snapshot.  A
         refused write returns ``None``.
-
-        The guard does not re-read this instance's own shards: each write
-        records the file's completeness and ``stat`` identity, and a later
-        incomplete write trusts that record while the file still matches
-        it.  A file this instance never wrote, or one another writer has
-        replaced since, is read from disk.
         """
         path = self.shard_path(shard.job_id)
         with obs.span(
             "checkpoint", cat="run", job=shard.job_id, cycle=shard.cycle
         ):
             with self._lock:
-                if not shard.complete and self._complete_at(path):
+                if not shard.complete and self._has_complete_shard(path):
                     if obs.enabled:
                         obs.inc("repro_checkpoint_writes_total",
                                 result="refused", campaign=self.campaign)
@@ -202,9 +191,8 @@ class Checkpointer:
                     self._os.replace(tmp, path)
                 except BaseException:
                     # A failed or torn temp write never touches the real
-                    # shard (so its record stays valid): the rename is
-                    # skipped and the temp is litter at worst (unlinked
-                    # here when the process survives).
+                    # shard: the rename is skipped and the temp is litter
+                    # at worst (unlinked here when the process survives).
                     if not closed:
                         try:
                             self._os.close(fd)
@@ -215,46 +203,15 @@ class Checkpointer:
                     except OSError:
                         pass
                     raise
-                self._remember(path, shard.complete)
         if obs.enabled:
             obs.inc("repro_checkpoint_writes_total",
                     result="written", campaign=self.campaign)
         shard.path = str(path)
         return path
 
-    def _remember(self, path: Path, complete: bool) -> None:
-        """Record what this instance just renamed into ``path``."""
-        try:
-            st = os.stat(path)
-        except OSError:
-            self._written.pop(path, None)
-            return
-        self._written[path] = (complete, st.st_ino, st.st_mtime_ns, st.st_size)
-
-    def _complete_at(self, path: Path) -> bool:
-        """Whether a valid, complete shard already sits at ``path``.
-
-        Answered from this instance's write record while the file's
-        ``(st_ino, st_mtime_ns, st_size)`` still matches it; every other
-        case parses the file.  A replacing writer's rename always brings a
-        new inode, since its temp file coexisted with the old one.
-        """
-        record = self._written.get(path)
-        if record is not None:
-            try:
-                st = os.stat(path)
-            except FileNotFoundError:
-                return False
-            except OSError:
-                pass
-            else:
-                if record[1:] == (st.st_ino, st.st_mtime_ns, st.st_size):
-                    return record[0]
-        return self._complete_on_disk(path)
-
     @staticmethod
-    def _complete_on_disk(path: Path) -> bool:
-        """Whether the file at ``path`` parses as a complete shard."""
+    def _has_complete_shard(path: Path) -> bool:
+        """Whether a valid, complete shard already sits at ``path``."""
         try:
             return Shard.from_json(path.read_text(), path=str(path)).complete
         except FileNotFoundError:

@@ -311,6 +311,9 @@ class Executor:
             self._process_attempt if self.isolation == "process"
             else self._thread_attempt
         )
+        # The last boundary's cycle and counts while no periodic shard
+        # holds them (the end or stop of an attempt that may yet fail).
+        unsaved: dict = {}
         for attempt in range(1, self.retries + 2):
             if attempt > 1:
                 delay = self.backoff_delay(attempt, job.job_id)
@@ -328,7 +331,7 @@ class Executor:
                 backend=job.backend_name, attempt=attempt,
             ) as span:
                 started = time.perf_counter()
-                failure = attempt_fn(job, attempt, outcome)
+                failure = attempt_fn(job, attempt, outcome, unsaved)
                 if obs.enabled:
                     result = "ok" if failure is None else failure.kind
                     span.set(result=result)
@@ -350,13 +353,18 @@ class Executor:
         salvaged = None
         if self.checkpointer is not None:
             with obs.span("salvage", cat="run", job=job.job_id):
-                try:
-                    salvaged = self.checkpointer.load(job.job_id)
-                except (ShardError, OSError):
-                    # Corrupt/unreadable shard: nothing to salvage; the file
-                    # is reported via the load_all quarantine path, and the
-                    # job stays "failed" instead of killing the campaign.
-                    salvaged = None
+                if unsaved:
+                    # died after its final boundary: newer than any shard
+                    salvaged = Shard(job.job_id, job.backend_name, **unsaved)
+                else:
+                    try:
+                        salvaged = self.checkpointer.load(job.job_id)
+                    except (ShardError, OSError):
+                        # Corrupt/unreadable shard: nothing to salvage; the
+                        # file is reported via the load_all quarantine path,
+                        # and the job stays "failed" instead of killing the
+                        # campaign.
+                        salvaged = None
         if salvaged is not None and salvaged.counts:
             outcome.status = "partial"
             outcome.counts = salvaged.counts
@@ -366,10 +374,10 @@ class Executor:
         return outcome
 
     def _thread_attempt(
-        self, job: RunJob, attempt: int, outcome: RunOutcome
+        self, job: RunJob, attempt: int, outcome: RunOutcome, unsaved: dict
     ) -> Optional[RunFailure]:
         """One watchdogged in-thread attempt; None means success."""
-        worker = _Attempt(lambda: self._drive(job, worker))
+        worker = _Attempt(lambda: self._drive(job, worker, unsaved))
         started = time.monotonic()
         worker.start()
         worker.join(self.timeout)
@@ -423,7 +431,7 @@ class Executor:
         )
 
     def _process_attempt(
-        self, job: RunJob, attempt: int, outcome: RunOutcome
+        self, job: RunJob, attempt: int, outcome: RunOutcome, unsaved: dict
     ) -> Optional[RunFailure]:
         """One supervised forked-process attempt; None means success."""
 
@@ -434,7 +442,7 @@ class Executor:
             checkpoint_every=(
                 self.checkpointer.every if self.checkpointer is not None else 0
             ),
-            on_shard=functools.partial(self._at_boundary, job),
+            on_shard=functools.partial(self._at_boundary, job, unsaved),
         )
         if result.status == "ok":
             outcome.counts = result.counts or {}
@@ -454,7 +462,7 @@ class Executor:
             message=result.message,
         )
 
-    def _drive(self, job: RunJob, worker: _Attempt) -> None:
+    def _drive(self, job: RunJob, worker: _Attempt, unsaved: dict) -> None:
         """The attempt body (runs on the worker thread).
 
         Per-cycle stimulus forces single stepping; without it, cycles
@@ -490,7 +498,7 @@ class Executor:
             ):
                 counts = dict(sim.cover_counts())
                 counts_cycle = cycle
-                self._at_boundary(job, cycle, counts, result.stopped)
+                self._at_boundary(job, unsaved, cycle, counts, result.stopped)
             if result.stopped:
                 break
             if result.cycles == 0:
@@ -502,14 +510,17 @@ class Executor:
         worker.counts = counts
 
     def _at_boundary(
-        self, job: RunJob, cycle: int, counts: CoverCounts, stopped: bool
+        self, job: RunJob, unsaved: dict, cycle: int, counts: CoverCounts,
+        stopped: bool,
     ) -> None:
         """One checkpoint boundary of an attempt (thread or process).
 
         A periodic shard is written only when the attempt goes on past
         the boundary: at the job's last cycle or its stop, the complete
-        shard written right after the attempt supersedes it.  The
-        ``progress`` hook fires at every boundary, the last included.
+        shard written right after the attempt supersedes it.  Those last
+        counts stay in ``unsaved`` so salvage still finds them if the
+        attempt fails before that.  The ``progress`` hook fires at every
+        boundary, the last included.
         """
         if cycle < job.cycles and not stopped:
             self.checkpointer.write(
@@ -521,6 +532,9 @@ class Executor:
                     complete=False,
                 )
             )
+            unsaved.clear()
+        else:
+            unsaved.update(cycle=cycle, counts=counts)
         if self.progress is None:
             return
         try:

@@ -565,6 +565,15 @@ FireSimSimulation`).
     def __getattr__(self, name):
         return getattr(self._sim, name)
 
+    @property
+    def stop_latch(self):
+        """The host's stop latch (set through, not shadowed, by the driver)."""
+        return self._sim.stop_latch
+
+    @stop_latch.setter
+    def stop_latch(self, latch) -> None:
+        self._sim.stop_latch = latch
+
     def peek(self, port: str) -> int:
         value = self._sim.peek(port)
         if port != "scan_out":

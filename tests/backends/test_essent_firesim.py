@@ -18,6 +18,7 @@ from repro.backends.firesim import (
 )
 from repro.hcl import Module, elaborate
 from repro.passes import PassError, lower
+from repro.runtime import Checkpointer, Executor, RunJob
 
 
 class _Gated(Module):
@@ -174,6 +175,74 @@ class TestFireSimStop:
         # the scan leaves the stop latched and the counts intact
         assert firesim.step(3) == StepResult(0, True, "over", 2)
         assert firesim.cover_counts() == expected
+
+
+class _EdgeStop(Module):
+    """A free-running counter whose ``stop`` is true on one cycle only."""
+
+    def build(self, m):
+        count = m.reg("count", 8, init=0)
+        count <<= count + 1
+        m.cover(count[0] == 1, "odd")
+        m.stop(count == 24, 0, "edge")
+
+
+class _Logger(Module):
+    """A running total, also written to memory every cycle."""
+
+    def build(self, m):
+        data = m.input("data", 8)
+        total = m.output("total", 8)
+        logged = m.output("logged", 8)
+        acc = m.reg("acc", 8, init=0)
+        ram = m.mem("ram", 8, 4)
+        acc <<= acc + data
+        ram[0] = acc
+        total <<= acc
+        logged <<= ram[0]
+        m.cover(acc > 5, "past_five")
+
+
+class TestFireSimScanPause:
+    """A scan pauses the target: it neither advances the design nor lets
+    a stop that is due during the scan slip by."""
+
+    @pytest.mark.parametrize("host", [
+        VerilatorBackend, TreadleBackend, _c_host,
+    ], ids=["verilator", "treadle-jit", "c"])
+    def test_checkpointed_job_stops_on_an_edge_inside_a_scan_window(
+        self, host, tmp_path
+    ):
+        state = lower(elaborate(_EdgeStop()), flatten=True)
+        firesim = FireSimBackend(host_backend=host())
+        reference = TreadleBackend(jit=False)
+        outcomes = [
+            Executor(checkpointer=Checkpointer(tmp_path / name, every=10))
+            .run_job(RunJob(name, name, make_sim, 60))
+            for name, make_sim in (
+                ("firesim", lambda: firesim.compile_state(state)),
+                ("reference", lambda: reference.compile_state(
+                    state, counter_width=16)),
+            )
+        ]
+        # the boundary at cycle 20 scans 16 cycles, across the stop at 25
+        assert [(o.status, o.cycles_run) for o in outcomes] == [("ok", 25)] * 2
+        assert outcomes[0].counts == outcomes[1].counts == {"odd": 12}
+
+    def test_scan_leaves_registers_and_memories_untouched(self):
+        state = lower(elaborate(_Logger()), flatten=True)
+        firesim = FireSimBackend(host_backend=TreadleBackend()).compile_state(state)
+        firesim.poke("reset", 1)
+        firesim.step()
+        firesim.poke("reset", 0)
+        firesim.poke("data", 3)
+        firesim.step(4)
+        before = (firesim.peek("total"), firesim.peek("logged"))
+        assert before == (12, 9)
+        assert firesim.cover_counts() == {"past_five": 2}
+        assert (firesim.peek("total"), firesim.peek("logged")) == before
+        firesim.step(1)
+        assert (firesim.peek("total"), firesim.peek("logged")) == (15, 12)
 
 
 class TestResourceModel:

@@ -13,9 +13,11 @@ from repro.runtime import (
     Executor,
     FaultPlan,
     FaultyBackend,
+    ProcessAttemptResult,
     RunJob,
     process_isolation_available,
 )
+from repro.runtime import executor as executor_module
 
 pytestmark = pytest.mark.faults
 
@@ -434,3 +436,67 @@ class TestCheckpointCadence:
         assert outcome.status == "ok"
         # one per boundary; the last one's counts are the final counts
         assert len(readouts) == 3
+
+
+class TestSalvageAfterTheLastBoundary:
+    """The last boundary gets no periodic shard; an attempt that fails
+    after it still salvages its counts."""
+
+    def test_thread_attempt_abandoned_after_its_last_boundary(
+        self, gcd_state, tmp_path
+    ):
+        def progress(job_id, cycle, counts):
+            if cycle == 30:
+                time.sleep(1.0)  # outlives the watchdog
+
+        executor = Executor(
+            checkpointer=Checkpointer(tmp_path, every=10), timeout=0.3,
+            progress=progress,
+        )
+        outcome = executor.run_job(make_job(TreadleBackend(), gcd_state, cycles=30))
+        assert [f.kind for f in outcome.failures] == ["timeout"]
+        assert (outcome.status, outcome.cycles_run) == ("partial", 30)
+        clean = Executor().run_job(make_job(TreadleBackend(), gcd_state, cycles=30))
+        assert outcome.counts == clean.counts
+
+    def test_process_attempt_killed_after_its_last_shard(
+        self, gcd_state, tmp_path, monkeypatch
+    ):
+        """The parent keeps the counts the worker streamed at its last
+        boundary; a kill before DONE salvages them."""
+        def killed_after_last_shard(job, attempt, policy, checkpoint_every,
+                                    on_shard):
+            on_shard(10, {"x": 1}, False)
+            on_shard(20, {"x": 2}, False)
+            return ProcessAttemptResult(
+                "killed", failure_kind="timeout", last_beat_cycle=20)
+
+        monkeypatch.setattr(
+            executor_module, "run_process_attempt", killed_after_last_shard)
+        checkpointer = _RecordingCheckpointer(tmp_path, every=10)
+        executor = Executor(checkpointer=checkpointer, isolation="process")
+        outcome = executor.run_job(RunJob("job", "b", lambda: None, 20))
+        assert checkpointer.writes == [(10, False)]
+        assert (outcome.status, outcome.cycles_run) == ("partial", 20)
+        assert outcome.counts == {"x": 2}
+
+    def test_a_later_periodic_shard_supersedes_the_unsaved_boundary(
+        self, tmp_path, monkeypatch
+    ):
+        """Attempt 1 dies after its last boundary, attempt 2 after its
+        first: salvage takes the newest write, as the shard on disk did."""
+        boundaries = iter([[(10, 1), (20, 2)], [(10, 3)]])
+
+        def killed(job, attempt, policy, checkpoint_every, on_shard):
+            for cycle, x in next(boundaries):
+                on_shard(cycle, {"x": x}, False)
+            return ProcessAttemptResult("killed", failure_kind="timeout")
+
+        monkeypatch.setattr(executor_module, "run_process_attempt", killed)
+        executor = Executor(
+            checkpointer=Checkpointer(tmp_path, every=10), isolation="process",
+            retries=1, sleep=lambda s: None,
+        )
+        outcome = executor.run_job(RunJob("job", "b", lambda: None, 20))
+        assert (outcome.status, outcome.cycles_run) == ("partial", 10)
+        assert outcome.counts == {"x": 3}

@@ -7,7 +7,7 @@ from repro.backends.firesim.driver import FireSimSimulation, scan_crc
 from repro.backends.firesim.scanchain import insert_scan_chain
 from repro.coverage import instrument
 from repro.designs.gcd import Gcd
-from repro.hcl import elaborate
+from repro.hcl import Module, elaborate
 from repro.passes import lower
 from repro.runtime import FaultPlan, FaultyBackend, ScanNoiseHost
 
@@ -75,6 +75,14 @@ class TestDeterminism:
         assert wrapped == clean
 
 
+class _Stops(Module):
+    def build(self, m):
+        count = m.reg("count", 8, init=0)
+        count <<= count + 1
+        m.cover(count[0] == 1, "odd")
+        m.stop(count == 6, 1, "six")
+
+
 class TestScanChainCrc:
     @pytest.fixture(scope="class")
     def chained(self, gcd_state):
@@ -97,6 +105,21 @@ class TestScanChainCrc:
         assert any(counts.values())
         # verification cost: two rotations per scan instead of one
         assert sim.scan_cycles_total == 2 * info.length_bits
+
+    def test_wrapped_host_scans_out_after_a_stop(self):
+        """The driver lifts the stop latch of the host behind the wrapper,
+        and puts it back."""
+        state, info = insert_scan_chain(
+            lower(elaborate(_Stops()), flatten=True), counter_width=8)
+        host = TreadleBackend().compile_state(state)
+        sim = FireSimSimulation(ScanNoiseHost(host, 0.0), info, verify_scans=True)
+        sim.poke("reset", 1)
+        sim.step(1)
+        sim.poke("reset", 0)
+        assert sim.step(20).stopped
+        for _ in range(2):
+            assert sim.cover_counts() == {"odd": 3}
+        assert host.stopped
 
     def test_bit_flips_raise_scan_chain_corruption(self, chained):
         state, info = chained
