@@ -76,10 +76,11 @@ def test_fig12_naive_covers(benchmark, width):
 @pytest.mark.parametrize("width", WIDTHS)
 def test_fig12_value_probe(benchmark, width):
     state = lowered(width)
-    sim = VerilatorBackend().compile_state(state, value_probes=("state",))
+    sim = VerilatorBackend().compile_state(state)
 
     def run():
         fresh = sim.fork()
+        fresh.watch_values("state")
         fresh.poke("reset", 1)
         fresh.step()
         fresh.poke("reset", 0)

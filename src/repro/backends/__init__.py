@@ -51,6 +51,7 @@ from .modelcache import (
     set_default_cache,
 )
 from .cbackend import CBackend, CSimulation
+from .pysim import PySimulation
 from .swarm import SwarmBackend, SwarmSimulation
 from .treadle import TreadleBackend, TreadleSimulation
 from .verilator import (
@@ -101,7 +102,8 @@ class BackendCapabilities:
     fallback: str  # tier used when this backend is unavailable
 
 
-#: ``BACKENDS`` (plus the interpreter/JIT split inside ``treadle``)
+#: ``BACKENDS`` (plus the interpreter/JIT split inside ``treadle``; the
+#: JIT, verilator and essent run one generated class, see ``pysim``)
 #: annotated with capabilities.  Update this table — and regenerate
 #: DESIGN.md §14 — whenever a backend or capability is added.
 BACKEND_MATRIX = [
@@ -109,8 +111,8 @@ BACKEND_MATRIX = [
         "treadle", "tree-walking interpreter", False, True, True,
         "execution model", True, "-"),
     BackendCapabilities(
-        "treadle-jit", "generated Python closures", True, True, True,
-        "model + Python source", True, "treadle interpreter"),
+        "treadle-jit", "generated Python class", True, True, True,
+        "model + Python source", True, "-"),
     BackendCapabilities(
         "verilator", "generated Python class", True, True, True,
         "model + Python source", True, "-"),
@@ -119,7 +121,7 @@ BACKEND_MATRIX = [
         "model + Python source", True, "-"),
     BackendCapabilities(
         "c", "cc-compiled shared object (ctypes)", True, True, True,
-        "model + C source + .so artifact", True, "treadle JIT"),
+        "model + C source + .so artifact", True, "treadle-jit"),
     BackendCapabilities(
         "swarm", "packed bit-parallel lanes (wide ints)", True, True, True,
         "model + Python source (keyed by lane count)", True, "-"),
@@ -177,6 +179,7 @@ __all__ = [
     "SwarmSimulation",
     "has_port",
     "poke_and_step",
+    "PySimulation",
     "run_inputs",
     "TreadleBackend",
     "TreadleSimulation",

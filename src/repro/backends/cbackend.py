@@ -1,6 +1,6 @@
 """Native C backend: compile the settle schedule to a shared object.
 
-The portable JIT (:mod:`repro.backends.treadle`) recovered ~56x over the
+The portable JIT (:mod:`repro.backends.pysim`) recovered ~56x over the
 tree-walking interpreter while staying pure Python; this backend takes
 the remaining headroom the ROADMAP identifies by emitting C99 from the
 *same* lowered :class:`~repro.backends.model.CircuitModel`, shelling out
@@ -78,7 +78,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
-from ..ir.traversal import walk_expr
 from ..ir.types import bit_width, is_signed, mask
 from ..runtime.telemetry import StepMeter, obs
 from .api import (
@@ -89,7 +88,7 @@ from .api import (
     poke_and_step,
     saturate,
 )
-from .model import CircuitModel, MemoryModel, build_model
+from .model import CircuitModel, MemoryModel, build_model, widest_width
 from .modelcache import CacheEntry, ModelCache, compile_cached, resolve_cache
 from .pycodegen import CodeBuilder, pynames
 from .treadle import TreadleBackend
@@ -165,28 +164,6 @@ def compiler_id(path: str) -> str:
 # -- C code generation ----------------------------------------------------------
 
 
-def _model_exprs(model: CircuitModel):
-    for _, expr in model.comb:
-        yield expr
-    for reg in model.registers:
-        yield reg.next
-        if reg.reset is not None:
-            yield reg.reset
-        if reg.init is not None:
-            yield reg.init
-    for cover in model.covers:
-        yield cover.pred
-        yield cover.en
-    for stop in model.stops:
-        yield stop.pred
-        yield stop.en
-    for memory in model.memories:
-        for write in memory.writes:
-            yield write.addr
-            yield write.data
-            yield write.en
-
-
 def word_width(model: CircuitModel) -> int:
     """The machine word width (64 or 128) needed to hold every value.
 
@@ -195,14 +172,7 @@ def word_width(model: CircuitModel) -> int:
     Raises :class:`CUnsupportedCircuit` past 128 bits — the caller falls
     back to the (arbitrary-precision) JIT tier rather than miscompute.
     """
-    widest = 1
-    for root in _model_exprs(model):
-        for node in walk_expr(root):
-            widest = max(widest, bit_width(node.tpe))
-    for width in model.widths.values():
-        widest = max(widest, width)
-    for memory in model.memories:
-        widest = max(widest, memory.width)
+    widest = widest_width(model)
     if widest <= 64:
         return 64
     if widest <= 128:

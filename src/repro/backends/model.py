@@ -219,6 +219,38 @@ def _extract(module: Module, cover_paths: dict[str, str]) -> CircuitModel:
     )
 
 
+def _model_exprs(model: CircuitModel):
+    """Every expression the generated code of ``model`` evaluates."""
+    for _, expr in model.comb:
+        yield expr
+    for reg in model.registers:
+        yield reg.next
+        if reg.reset is not None:
+            yield reg.reset
+        if reg.init is not None:
+            yield reg.init
+    for cover in model.covers:
+        yield cover.pred
+        yield cover.en
+    for stop in model.stops:
+        yield stop.pred
+        yield stop.en
+    for memory in model.memories:
+        for write in memory.writes:
+            yield write.addr
+            yield write.data
+            yield write.en
+
+
+def widest_width(model: CircuitModel) -> int:
+    """The widest bit width of any signal, memory word or expression node."""
+    widest = max([1, *model.widths.values(), *(m.width for m in model.memories)])
+    for root in _model_exprs(model):
+        for node in walk_expr(root):
+            widest = max(widest, bit_width(node.tpe))
+    return widest
+
+
 def _signed(tpe) -> bool:
     from ..ir.types import is_signed
 

@@ -10,7 +10,7 @@ wall clock on small designs.  This module removes it:
 * **key** — a stable SHA-256 over the printed circuit IR (plus the
   flattening pass's canonical cover paths), the backend name, the
   :data:`~repro.backends.pycodegen.CODEGEN_VERSION`, and every
-  compile-affecting option (counter width, value probes, JIT mode).
+  compile-affecting option (counter width, JIT mode, emitter versions).
   Identical instrumented circuits hash identically regardless of which
   process or host built them; *any* change to the codegen contract is a
   version bump that invalidates every entry at once.
@@ -18,7 +18,7 @@ wall clock on small designs.  This module removes it:
   :class:`~repro.backends.model.CircuitModel`, persisted on disk with
   the same atomic write-then-rename discipline as checkpoint shards,
   fronted by an in-process LRU.  Transient per-process artifacts (the
-  ``exec``'d module class, compiled JIT closures) are memoized on the
+  ``exec``'d module class, the loaded ``.so``) are memoized on the
   in-memory entry only — they are never pickled.
 * **fork-safety** — the in-process LRU is populated *before* the
   executor forks its workers, so every child inherits warm entries via
@@ -86,8 +86,8 @@ def cache_key(
 ) -> str:
     """The full content-addressed cache key for one compile request.
 
-    ``options`` carries any further compile-affecting knobs (value-probe
-    tuples, JIT mode, ...) — anything that changes the generated source
+    ``options`` carries any further compile-affecting knobs (JIT mode,
+    emitter versions, ...) — anything that changes the generated source
     must be in the key or two different compiles would collide.
 
     The cover-minimizer version is part of the key: a minimized circuit

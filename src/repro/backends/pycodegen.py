@@ -17,11 +17,11 @@ from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.types import bit_width, is_signed, mask
 
 #: Version of the generated-code contract.  Any change to the code this
-#: module (or a backend's ``generate_source``) emits — operator lowering,
-#: state layout, cover sampling — must bump it: the content-addressed
-#: model cache (:mod:`repro.backends.modelcache`) mixes it into every
-#: cache key, so a bump invalidates all persisted entries at once.
-CODEGEN_VERSION = 1
+#: module (or :func:`repro.backends.pysim.generate_source`) emits —
+#: operator lowering, state layout, cover sampling — must bump it: the
+#: content-addressed model cache (:mod:`repro.backends.modelcache`) mixes
+#: it into every cache key, so a bump invalidates all persisted entries.
+CODEGEN_VERSION = 2
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.traversal import walk_expr
 from ..ir.types import bit_width, mask
 from ..runtime.telemetry import StepMeter, obs
 from .api import CoverCounts, StepResult, metered_step, saturate
-from .model import CircuitModel, build_model
+from .model import CircuitModel, build_model, widest_width
 from .modelcache import CacheEntry, ModelCache, compile_cached
 from .pycodegen import (
     RUNTIME_HELPERS,
@@ -53,29 +52,6 @@ from .pycodegen import (
 MAX_LANES = 4096
 
 
-def _model_exprs(model: CircuitModel):
-    """Every expression the generated code will evaluate."""
-    for _, expr in model.comb:
-        yield expr
-    for reg in model.registers:
-        yield reg.next
-        if reg.reset is not None:
-            yield reg.reset
-        if reg.init is not None:
-            yield reg.init
-    for cover in model.covers:
-        yield cover.pred
-        yield cover.en
-    for stop in model.stops:
-        yield stop.pred
-        yield stop.en
-    for memory in model.memories:
-        for write in memory.writes:
-            yield write.addr
-            yield write.data
-            yield write.en
-
-
 def lane_stride(model: CircuitModel) -> int:
     """The uniform per-lane stride for ``model``.
 
@@ -84,25 +60,18 @@ def lane_stride(model: CircuitModel) -> int:
     intermediates reach ``2**(w+1)``), one is the always-free lane top bit
     the packed non-zero test carries into.
     """
-    widest = 1
-    for width in model.widths.values():
-        widest = max(widest, width)
-    for memory in model.memories:
-        widest = max(widest, memory.width)
-    for expr in _model_exprs(model):
-        for node in walk_expr(expr):
-            widest = max(widest, bit_width(node.tpe))
-    return widest + 2
+    return widest_width(model) + 2
 
 
 def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     """Generate the packed ``settle``/``run`` module for ``model``.
 
-    Mirrors the treadle JIT's fused ``run`` loop — same evaluation order
-    (settle, covers, stops, register/memory commit), same state-dict ABI —
-    except every value is a packed integer, cover counters are vertical
-    plane lists, and a ``ctl`` dict carries the active-lane mask plus
-    per-lane stop bookkeeping across calls.
+    Mirrors the scalar Python tier's ``run`` loop (:mod:`repro.backends.pysim`)
+    — same evaluation order (settle, covers, stops, register/memory
+    commit) — except state lives in ``values``/``mems`` dicts, every value
+    is a packed integer, cover counters are vertical plane lists, and a
+    ``ctl`` dict carries the active-lane mask plus per-lane stop
+    bookkeeping across calls.
     """
     stride = lane_stride(model)
     all_names = (

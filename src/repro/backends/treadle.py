@@ -6,17 +6,15 @@ tests.  Cover support is native — a saturating counter per cover statement,
 sampled at each rising clock edge (the ~200-lines-of-Scala integration the
 paper describes maps to the ``_sample_covers`` method here).
 
-Two execution modes share the same model, state dictionaries, and public
-behavior:
+Two execution modes share the same model and public behavior:
 
-* the original **tree-walking interpreter** (``TreadleBackend(jit=False)``,
-  CLI ``--no-jit``) — the executable semantics reference, and
-* a **JIT fast path** (the default): the module's topologically-ordered
-  settle schedule is lowered through :mod:`repro.backends.pycodegen` into
-  three compiled closures — ``settle`` (comb sweep), ``tick`` (one clock
-  edge with cover sampling), and a fused ``run`` loop used when no value
-  probes are active.  Property tests pin the two modes against each other
-  cycle-for-cycle; the interpreter stays the arbiter.
+* the **tree-walking interpreter** (:class:`TreadleSimulation`,
+  ``TreadleBackend(jit=False)``, CLI ``--no-jit``) — the executable
+  semantics reference, and
+* a **JIT fast path** (the default): the scalar Python tier of
+  :mod:`repro.backends.pysim`, the same generated class verilator runs.
+  Property tests pin the two modes against each other cycle-for-cycle;
+  the interpreter stays the arbiter.
 """
 
 from __future__ import annotations
@@ -25,189 +23,23 @@ from typing import Optional
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.ops import OPS
-from ..ir.types import bit_width, is_signed, mask, value_of
+from ..ir.types import bit_width, mask, value_of
 from ..runtime.telemetry import StepMeter, obs
 from .api import CoverCounts, StepResult, metered_step, saturate
 from .model import CircuitModel, build_model
 from .modelcache import CacheEntry, ModelCache, compile_cached
-from .pycodegen import RUNTIME_HELPERS, CodeBuilder, _s, gen_expr, predicate, pynames
-
-
-def _fit(text: str, tpe, width: int) -> str:
-    """Re-encode an expression's raw value into a ``width``-bit register.
-
-    Mirrors the interpreter's commit path (``_encode(value_of(...))``):
-    narrower signed sources sign-extend, wider sources truncate, matching
-    widths pass through untouched (the common case after lowering).
-    """
-    w = bit_width(tpe)
-    if is_signed(tpe) and w < width:
-        return f"({_s(text, w)} & {mask(width)})"
-    if w > width:
-        return f"({text} & {mask(width)})"
-    return text
-
-
-def generate_jit_source(model: CircuitModel) -> str:
-    """Generate the compiled settle/tick/run closures for ``model``.
-
-    The generated functions operate directly on the simulation's state
-    dictionaries (``values``, ``mems``, ``counts``), so interpreter-mode
-    facilities — ``peek_internal``, value probes, ``fork`` — keep working
-    unchanged: ``settle`` writes every combinational signal back into
-    ``values``, and ``tick`` commits register/memory state exactly like
-    the interpreter's collect-then-apply ``_commit_state``.
-    """
-    all_names = (
-        [p.name for p in model.inputs]
-        + [r.name for r in model.registers]
-        + [name for name, _ in model.comb]
-    )
-    py = pynames(all_names)
-    mems = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
-
-    def gen(expr) -> str:
-        return gen_expr(expr, lambda n: py[n], lambda n: mems[n])
-
-    b = CodeBuilder()
-    b.emit('"""Generated by repro.backends.treadle (JIT) — do not edit."""')
-    for line in RUNTIME_HELPERS.strip().splitlines():
-        b.emit(line)
-    b.emit()
-
-    state_names = [p.name for p in model.inputs] + [
-        r.name for r in model.registers
-    ]
-
-    def load(names: list[str]) -> None:
-        for name in names:
-            b.emit(f"{py[name]} = values[{name!r}]")
-        for memory in model.memories:
-            b.emit(f"{mems[memory.name]} = mems[{memory.name!r}]")
-
-    def emit_effects(fused: bool) -> None:
-        """Covers, stops, register nexts, memory writes, state commit."""
-        for cover in model.covers:
-            b.emit(f"if {predicate(gen, cover.pred, cover.en)}:")
-            b.depth += 1
-            b.emit(f"counts[{cover.name!r}] += 1")
-            b.depth -= 1
-        if not fused:
-            b.emit("stop = None")
-        keyword = "if"
-        for index, stop in enumerate(model.stops):
-            b.emit(f"{keyword} {predicate(gen, stop.pred, stop.en)}:")
-            b.depth += 1
-            b.emit(f"stop = {index}")
-            b.depth -= 1
-            keyword = "elif"
-        for i, reg in enumerate(model.registers):
-            next_text = _fit(gen(reg.next), reg.next.tpe, reg.width)
-            if reg.reset is not None and reg.init is not None:
-                init_text = _fit(gen(reg.init), reg.init.tpe, reg.width)
-                b.emit(
-                    f"n_{i} = {init_text} if {gen(reg.reset)} else {next_text}"
-                )
-            else:
-                b.emit(f"n_{i} = {next_text}")
-        for memory in model.memories:
-            for write in memory.writes:
-                addr = gen(write.addr)
-                data = f"{gen(write.data)} & {mask(memory.width)}"
-                en = gen(write.en)
-                guard = (
-                    f"{en} and ({addr}) < {memory.depth}"
-                    if memory.needs_write_guard
-                    else en
-                )
-                b.emit(f"if {guard}: {mems[memory.name]}[{addr}] = {data}")
-        for i, reg in enumerate(model.registers):
-            if fused:
-                b.emit(f"{py[reg.name]} = n_{i}")
-            else:
-                b.emit(f"values[{reg.name!r}] = n_{i}")
-
-    # -- settle: one combinational sweep, written back into `values` --------
-    b.emit("def settle(values, mems):")
-    b.depth += 1
-    load(state_names)
-    for name, expr in model.comb:
-        b.emit(f"{py[name]} = {gen(expr)}")
-        b.emit(f"values[{name!r}] = {py[name]}")
-    if not (state_names or model.comb or model.memories):
-        b.emit("pass")
-    b.depth -= 1
-    b.emit()
-
-    # -- tick: one settled clock edge (used on the value-probe path) --------
-    b.emit("def tick(values, mems, counts):")
-    b.depth += 1
-    load(state_names + [name for name, _ in model.comb])
-    emit_effects(fused=False)
-    b.emit("return stop")
-    b.depth -= 1
-    b.emit()
-
-    # -- run: the fused hot loop (no per-cycle dict traffic) ----------------
-    b.emit("def run(values, mems, counts, cycles):")
-    b.depth += 1
-    load(state_names)
-    b.emit("done = 0")
-    b.emit("stop = None")
-    b.emit("for _ in range(cycles):")
-    b.depth += 1
-    for name, expr in model.comb:
-        b.emit(f"{py[name]} = {gen(expr)}")
-    emit_effects(fused=True)
-    b.emit("done += 1")
-    if model.stops:
-        b.emit("if stop is not None: break")
-    b.depth -= 1
-    for reg in model.registers:
-        b.emit(f"values[{reg.name!r}] = {py[reg.name]}")
-    b.emit("return done, stop")
-    b.depth -= 1
-    return b.source()
-
-
-class _JitPlan:
-    """The exec'd closures for one model — built once, shared by forks."""
-
-    __slots__ = ("source", "settle", "tick", "run")
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        namespace: dict = {}
-        exec(compile(source, "<generated-treadle-jit>", "exec"), namespace)
-        self.settle = namespace["settle"]
-        self.tick = namespace["tick"]
-        self.run = namespace["run"]
+from .pysim import PySimulation, compile_python
 
 
 class TreadleSimulation:
-    """Interpreting simulation of one circuit instance.
+    """Interpreting simulation of one circuit instance (the reference)."""
 
-    With ``plan`` set, stepping runs the compiled closures instead of the
-    tree walker; peeks, pokes, value probes, and cover counts behave
-    identically in both modes.
-    """
-
-    def __init__(
-        self,
-        model: CircuitModel,
-        counter_width: Optional[int] = None,
-        plan: Optional[_JitPlan] = None,
-    ) -> None:
+    def __init__(self, model: CircuitModel, counter_width: Optional[int] = None) -> None:
         self._model = model
         self._counter_width = counter_width
-        self._plan = plan
         self._values: dict[str, int] = {}
-        # Padded allocation in both modes: masked addresses stay in range
-        # for the generated code's unguarded reads, and the pad slots are
-        # never written (writes are guarded to `depth`), so interpreter
-        # reads of them return the same 0 they always did.
         self._mems: dict[str, list[int]] = {
-            m.name: [0] * m.padded_depth for m in model.memories
+            m.name: [0] * m.depth for m in model.memories
         }
         self._counts: dict[str, int] = {c.name: 0 for c in model.covers}
         self._dirty = True
@@ -247,11 +79,6 @@ class TreadleSimulation:
         )
 
     def _step(self, cycles: int) -> StepResult:
-        if self._plan is not None:
-            return self._step_jit(cycles)
-        return self._step_interp(cycles)
-
-    def _step_interp(self, cycles: int) -> StepResult:
         done = 0
         for _ in range(cycles):
             if self._stopped is not None:
@@ -269,43 +96,6 @@ class TreadleSimulation:
             if stop is not None:
                 self._stopped = stop
                 return StepResult(done, True, stop.stop_name, stop.exit_code)
-        return StepResult(done)
-
-    def _step_jit(self, cycles: int) -> StepResult:
-        plan = self._plan
-        assert plan is not None
-        if cycles > 0 and self._stopped is not None:
-            halted = self._stopped
-            return StepResult(0, True, halted.stop_name, halted.exit_code)
-        values, mems, counts = self._values, self._mems, self._counts
-        if not self._value_probes:
-            done, stop_index = plan.run(values, mems, counts, cycles)
-            self.cycle += done
-            if done:
-                self._dirty = True
-            if stop_index is not None:
-                stop = self._model.stops[stop_index]
-                self._stopped = StepResult(0, True, stop.name, stop.exit_code)
-                return StepResult(done, True, stop.name, stop.exit_code)
-            return StepResult(done)
-        # Value probes need the settled pre-edge values every cycle, so
-        # this path ticks one edge at a time (still compiled, no tree walk).
-        done = 0
-        for _ in range(cycles):
-            if self._dirty:
-                plan.settle(values, mems)
-                self._dirty = False
-            for signal, histogram in self._value_probes.items():
-                value = values[signal]
-                histogram[value] = histogram.get(value, 0) + 1
-            stop_index = plan.tick(values, mems, counts)
-            self.cycle += 1
-            done += 1
-            self._dirty = True
-            if stop_index is not None:
-                stop = self._model.stops[stop_index]
-                self._stopped = StepResult(0, True, stop.name, stop.exit_code)
-                return StepResult(done, True, stop.name, stop.exit_code)
         return StepResult(done)
 
     def cover_counts(self) -> CoverCounts:
@@ -346,19 +136,16 @@ class TreadleSimulation:
 
     def fork(self) -> "TreadleSimulation":
         """A fresh simulation of the same design (shares the static model)."""
-        return TreadleSimulation(self._model, self._counter_width, plan=self._plan)
+        return TreadleSimulation(self._model, self._counter_width)
 
     # -- internals -------------------------------------------------------------
 
     def _settle(self) -> None:
         if not self._dirty:
             return
-        if self._plan is not None:
-            self._plan.settle(self._values, self._mems)
-        else:
-            values = self._values
-            for name, expr in self._model.comb:
-                values[name] = self._eval(expr)
+        values = self._values
+        for name, expr in self._model.comb:
+            values[name] = self._eval(expr)
         self._dirty = False
 
     def _eval(self, expr: Expr) -> int:
@@ -432,12 +219,12 @@ def _encode(value: int, tpe) -> int:
 
 
 class TreadleBackend:
-    """Factory for interpreting simulations.
+    """Factory for treadle simulations.
 
-    ``jit=True`` (the default) compiles the settle schedule into closures
-    via :func:`generate_jit_source`; ``jit=False`` is the pure
-    tree-walking reference (CLI ``--no-jit``).  ``cache`` overrides the
-    process-default :class:`~repro.backends.modelcache.ModelCache`.
+    ``jit=True`` (the default) builds the scalar Python tier
+    (:func:`~repro.backends.pysim.compile_python`); ``jit=False`` is the
+    pure tree-walking reference (CLI ``--no-jit``).  ``cache`` overrides
+    the process-default :class:`~repro.backends.modelcache.ModelCache`.
     """
 
     name = "treadle"
@@ -446,31 +233,23 @@ class TreadleBackend:
         self.jit = jit
         self._cache = cache
 
-    def compile(self, circuit, counter_width: Optional[int] = None) -> TreadleSimulation:
+    def compile(self, circuit, counter_width: Optional[int] = None):
         return self._compile(circuit, counter_width)
 
-    def compile_state(self, state, counter_width: Optional[int] = None) -> TreadleSimulation:
+    def compile_state(self, state, counter_width: Optional[int] = None):
         """Build a simulation from an already-lowered CompileState."""
         return self._compile(state, counter_width)
 
-    def _compile(self, circuit_or_state, counter_width) -> TreadleSimulation:
+    def _compile(self, circuit_or_state, counter_width) -> "TreadleSimulation | PySimulation":
+        if self.jit:
+            return compile_python(
+                self.name, circuit_or_state, counter_width, self._cache, ("jit",)
+            )
+
         def build() -> CacheEntry:
             with obs.span("compile", cat="compile", backend=self.name):
                 model = build_model(circuit_or_state)
-                source = generate_jit_source(model) if self.jit else None
-            return CacheEntry(key="", backend=self.name, model=model, source=source)
+            return CacheEntry(key="", backend=self.name, model=model, source=None)
 
-        entry = compile_cached(
-            circuit_or_state,
-            self.name,
-            build,
-            cache=self._cache,
-            options=("jit",) if self.jit else (),
-        )
-        plan = None
-        if self.jit:
-            plan = entry.runtime.get("plan")
-            if plan is None:
-                source = entry.source or generate_jit_source(entry.model)
-                plan = entry.runtime["plan"] = _JitPlan(source)
-        return TreadleSimulation(entry.model, counter_width, plan=plan)
+        entry = compile_cached(circuit_or_state, self.name, build, cache=self._cache)
+        return TreadleSimulation(entry.model, counter_width)

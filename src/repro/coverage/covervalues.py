@@ -9,8 +9,10 @@ This module provides both sides of that comparison:
 
 * :class:`CoverValuesNaivePass` — the blowup: one cover per value.
 * *value probes* — the efficient implementation, supported natively by the
-  treadle and verilator backends (``watch_values`` /
-  ``value_probes``): one histogram per signal, one array update per cycle.
+  treadle interpreter, the scalar Python tier (treadle JIT, verilator,
+  essent) and the ``c`` backend: ``sim.watch_values(signal)`` before
+  stepping, ``sim.value_histogram(signal)`` after — one histogram per
+  signal, one array update per cycle.
 """
 
 from __future__ import annotations

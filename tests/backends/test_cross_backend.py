@@ -1,14 +1,17 @@
 """The paper's central property: all backends agree on cover counts.
 
 Random circuits are simulated on the interpreting (treadle), compiled
-(verilator), activity-gated (essent) and scan-chain (firesim) backends.
+(verilator, c), activity-gated (essent) and scan-chain (firesim) backends.
 Outputs must match cycle by cycle and the final cover-count maps must be
 identical — the invariant that makes cross-backend merging sound.
 """
 
+import warnings
+
 from hypothesis import given, settings
 
 from repro.backends import (
+    CBackend,
     EssentBackend,
     FireSimBackend,
     TreadleBackend,
@@ -24,15 +27,19 @@ from ..helpers import random_circuits, random_stimulus, run_with_stimulus
 def test_three_software_backends_agree(circuit):
     stim = random_stimulus(23, 40)
     state = lower(circuit, flatten=True)
-    sims = [
-        TreadleBackend().compile_state(state),
-        VerilatorBackend().compile_state(state),
-        EssentBackend().compile_state(state),
-    ]
+    with warnings.catch_warnings():
+        # without a compiler (or past 128 bits) c degrades to the JIT tier
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sims = [
+            TreadleBackend(jit=False).compile_state(state),
+            VerilatorBackend().compile_state(state),
+            EssentBackend().compile_state(state),
+            CBackend().compile_state(state),
+        ]
     outputs = [run_with_stimulus(sim, stim) for sim in sims]
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[1:] == [outputs[0]] * 3
     counts = [sim.cover_counts() for sim in sims]
-    assert counts[0] == counts[1] == counts[2]
+    assert counts[1:] == [counts[0]] * 3
 
 
 @settings(max_examples=8, deadline=None)

@@ -39,7 +39,7 @@ from repro.backends.cbackend import (
     generate_c_source,
 )
 from repro.backends.model import build_model
-from repro.backends.treadle import TreadleSimulation
+from repro.backends.pysim import PySimulation
 from repro.coverage import instrument
 from repro.fuzz import FuzzHarness
 from repro.hcl import Module, elaborate
@@ -368,7 +368,7 @@ def test_no_compiler_fallback_replays_and_fuzzes_identically(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fallback_sim, *fallback = _replay_and_fuzz(CBackend())
-    assert isinstance(fallback_sim, TreadleSimulation)
+    assert isinstance(fallback_sim, PySimulation)
     assert fallback == native
 
 

@@ -63,8 +63,8 @@ class TestTwoTierCache:
         assert (cache.misses, cache.hits) == (1, 0)
         second = backend.compile_state(gcd_state)
         assert (cache.misses, cache.hits) == (1, 1)
-        # the exec'd plan is memoized on the shared entry
-        assert first._plan is second._plan
+        # the exec'd class is memoized on the shared entry
+        assert first._cls is second._cls
 
     def test_disk_hit_after_memory_cleared(self, tmp_path, gcd_state):
         cache = ModelCache(tmp_path)

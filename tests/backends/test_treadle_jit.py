@@ -8,7 +8,7 @@ tests pin outputs, cover counts, stop behaviour, and value probes.
 
 from hypothesis import given, settings
 
-from repro.backends import ModelCache, TreadleBackend
+from repro.backends import ModelCache, PySimulation, TreadleBackend, TreadleSimulation
 from repro.hcl import Module, elaborate
 from repro.passes import lower
 
@@ -34,8 +34,8 @@ def _pair(circuit_or_state, compiled=False):
     else:
         jit = TreadleBackend(jit=True).compile(circuit_or_state)
         ref = TreadleBackend(jit=False).compile(circuit_or_state)
-    assert jit._plan is not None
-    assert ref._plan is None
+    assert isinstance(jit, PySimulation)
+    assert isinstance(ref, TreadleSimulation)
     return jit, ref
 
 
@@ -121,13 +121,13 @@ class TestPlanSharing:
         circuit = elaborate(_Counter())
         first = backend.compile(circuit)
         second = backend.compile(circuit)
-        assert first._plan is second._plan  # compiled exactly once
+        assert first._cls is second._cls  # compiled exactly once
         assert cache.misses == 1 and cache.hits == 1
 
     def test_fork_shares_the_plan(self):
         sim = TreadleBackend().compile(elaborate(_Counter()))
         clone = sim.fork()
-        assert clone._plan is sim._plan
+        assert clone._cls is sim._cls
         clone.poke("reset", 1)
         clone.step()
         clone.poke("reset", 0)

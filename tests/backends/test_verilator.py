@@ -123,7 +123,8 @@ class TestBuildRunTradeoff:
 
     def test_value_probe(self):
         circuit = elaborate(_CoverDesign())
-        sim = VerilatorBackend().compile(circuit, value_probes=("a",))
+        sim = VerilatorBackend().compile(circuit)
+        sim.watch_values("a")
         for value in (3, 3, 5):
             sim.poke("a", value)
             sim.step()

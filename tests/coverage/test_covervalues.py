@@ -75,7 +75,8 @@ class TestProbeBackends:
         state = lowered(_Walker())
         t = TreadleBackend().compile_state(state)
         t.watch_values("value")
-        v = VerilatorBackend().compile_state(state, value_probes=("value",))
+        v = VerilatorBackend().compile_state(state)
+        v.watch_values("value")
         for sim in (t, v):
             sim.poke("reset", 1)
             sim.step()

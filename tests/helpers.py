@@ -12,9 +12,12 @@ from repro.ir import (
     Circuit,
     Connect,
     Cover,
+    DefMemory,
     DefNode,
     DefRegister,
     Expr,
+    MemRead,
+    MemWrite,
     Module,
     Port,
     PrimOp,
@@ -116,8 +119,10 @@ def expressions(draw, leaves: list[Expr], depth: int = 3) -> Expr:
 def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
     """A random single-module sequential circuit with covers.
 
-    Inputs: in_a (8), in_b (4), in_c (1).  Output: out.  Low-form by
-    construction (no whens) so it can feed any backend directly.
+    Inputs: in_a (8), in_b (4), in_c (1).  Output: out.  UInt and SInt
+    registers (signed ones reset from narrower signed inits) and one
+    memory (see below).  Low-form by construction (no whens) so it can
+    feed any backend directly.
     """
     ports = [
         Port("clock", "input", CLOCK),
@@ -139,11 +144,26 @@ def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
     for i in range(n_regs):
         width = draw(st.integers(1, 10))
         name = f"r{i}"
-        body.append(
-            DefRegister(name, UIntType(width), clock, reset, UIntLiteral(0, width))
-        )
-        regs.append((name, width))
-        leaves.append(Ref(name, UIntType(width)))
+        if draw(st.booleans()):
+            # signed, reset from a (possibly narrower) signed init
+            tpe = SIntType(width)
+            init = draw(literals(width=draw(st.integers(1, width)), signed=True))
+        else:
+            tpe = UIntType(width)
+            init = UIntLiteral(0, width)
+        body.append(DefRegister(name, tpe, clock, reset, init))
+        regs.append((name, tpe))
+        leaves.append(Ref(name, tpe))
+
+    # one memory of non-power-of-two depth: its address width reaches past
+    # the depth, and writes carry data up to 2 bits wider than the word
+    depth = draw(st.sampled_from([3, 5, 6, 7]))
+    word = draw(st.integers(1, 8))
+    addr_width = (depth - 1).bit_length()
+    body.append(DefMemory("mem", UIntType(word), depth))
+    read_addr = _fit_uint(draw(st.sampled_from(leaves)), addr_width)
+    body.append(DefNode("mem_rd", MemRead("mem", read_addr, UIntType(word))))
+    leaves.append(Ref("mem_rd", UIntType(word)))
 
     for i in range(n_nodes):
         expr = draw(expressions(leaves, depth=3))
@@ -152,16 +172,22 @@ def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
         leaves.append(Ref(name, expr.tpe))
 
     # register next values: truncate a random leaf into the reg width
-    for name, width in regs:
-        src = draw(st.sampled_from(leaves))
-        raw = prim("asUInt", src)
-        if bit_width(raw.tpe) > width:
-            value = prim("bits", raw, consts=[width - 1, 0])
-        elif bit_width(raw.tpe) < width:
-            value = prim("pad", raw, consts=[width])
-        else:
-            value = raw
-        body.append(Connect(Ref(name, UIntType(width)), value))
+    for name, tpe in regs:
+        value = _fit_uint(draw(st.sampled_from(leaves)), bit_width(tpe))
+        if is_signed(tpe):
+            value = prim("asSInt", value)
+        body.append(Connect(Ref(name, tpe), value))
+
+    write_addr = _fit_uint(draw(st.sampled_from(leaves)), addr_width)
+    body.append(
+        MemWrite(
+            "mem",
+            draw(st.sampled_from([read_addr, write_addr])),
+            _fit_uint(draw(st.sampled_from(leaves)), word + draw(st.integers(0, 2))),
+            prim("orr", draw(st.sampled_from(leaves))),
+            clock,
+        )
+    )
 
     # covers over random 1-bit predicates
     n_covers = draw(st.integers(1, 3))
@@ -170,14 +196,27 @@ def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
         pred = prim("orr", pred_src)
         body.append(Cover(f"c{i}", clock, pred, UIntLiteral(1, 1)))
 
-    out_src = draw(st.sampled_from(leaves))
-    out_u = prim("asUInt", out_src)
+    # `out` shows a random leaf next to every register and the memory
+    # read, so a wrong register or memory state is observed, not masked
+    out_u = prim("asUInt", draw(st.sampled_from(leaves)))
+    for state in [Ref(name, tpe) for name, tpe in regs] + [Ref("mem_rd", UIntType(word))]:
+        out_u = prim("cat", out_u, prim("asUInt", state))
     out_width = bit_width(out_u.tpe)
     ports.append(Port("out", "output", UIntType(out_width)))
     body.append(Connect(Ref("out", UIntType(out_width)), out_u))
 
     module = Module("RandTop", ports, body)
     return Circuit("RandTop", [module])
+
+
+def _fit_uint(src: Expr, width: int) -> Expr:
+    """``src`` as a ``width``-bit UInt (truncated or zero-padded)."""
+    raw = prim("asUInt", src)
+    if bit_width(raw.tpe) > width:
+        return prim("bits", raw, consts=[width - 1, 0])
+    if bit_width(raw.tpe) < width:
+        return prim("pad", raw, consts=[width])
+    return raw
 
 
 def random_stimulus(seed: int, cycles: int):
