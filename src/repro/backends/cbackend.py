@@ -88,7 +88,7 @@ from .api import (
     poke_and_step,
     saturate,
 )
-from .model import CircuitModel, MemoryModel, build_model, widest_width
+from .model import CircuitModel, MemoryModel, build_model, memory_commit, widest_width
 from .modelcache import CacheEntry, ModelCache, compile_cached, resolve_cache
 from .pycodegen import CodeBuilder, pynames
 from .treadle import TreadleBackend
@@ -96,7 +96,7 @@ from .treadle import TreadleBackend
 #: Version of the C emitter's output contract.  Mixed into the cache-key
 #: options, so any change to the emitted C invalidates cached artifacts
 #: without having to bump the repo-wide ``CODEGEN_VERSION``.
-C_EMITTER_VERSION = 2
+C_EMITTER_VERSION = 3
 
 #: Version stamped into (and checked out of) every generated artifact.
 C_ABI_VERSION = 3
@@ -207,26 +207,38 @@ def pack_matrix(
 
     Each value is masked to its port's width.  A layout port that the
     matrix does not drive takes the next ``held`` value (in layout
-    order) in every row.
+    order) in every row.  Packing is by column: each layout slot is one
+    strided slice assignment, and a column is masked only when its
+    extremes fall outside the port's range.
     """
-    columns = {port: i for i, port in enumerate(matrix.ports)}
+    rows = matrix.rows
+    n = len(rows)
+    stride = sum(words for _, _, words in layout)
+    out = array("Q", [0]) * (stride * n)
+    if not n:
+        return out
+    columns = dict(zip(matrix.ports, zip(*rows)))
     held_values = iter(held)
-    slots = []
+    offset = 0
     for name, width, words in layout:
-        column = columns.get(name)
-        fixed = next(held_values) if column is None else 0
-        slots.append((column, fixed, mask(width), words == 2))
-    flat: list[int] = []
-    append = flat.append
-    for row in matrix.rows:
-        for column, fixed, port_mask, wide in slots:
-            value = (fixed if column is None else row[column]) & port_mask
-            if wide:
-                append(value & _U64_MASK)
-                append(value >> 64)
+        port_mask = mask(width)
+        values = columns.get(name)
+        if values is None:
+            value = next(held_values) & port_mask
+            if value:
+                out[offset::stride] = array("Q", [value & _U64_MASK]) * n
+                if words == 2:
+                    out[offset + 1 :: stride] = array("Q", [value >> 64]) * n
+        else:
+            if min(values) < 0 or max(values) > port_mask:
+                values = [value & port_mask for value in values]
+            if words == 2:
+                out[offset::stride] = array("Q", [v & _U64_MASK for v in values])
+                out[offset + 1 :: stride] = array("Q", [v >> 64 for v in values])
             else:
-                append(value)
-    return array("Q", flat)
+                out[offset::stride] = array("Q", values)
+        offset += words
+    return out
 
 
 def signal_names(model: CircuitModel) -> list[str]:
@@ -322,6 +334,12 @@ class _CExprGen:
         if isinstance(expr, MemRead):
             addr = self.gen(expr.addr)
             memory = self.memories[expr.mem]
+            if memory.read_needs_guard(expr.addr):
+                # past the padded store a read is 0, like the interpreter
+                return (
+                    f"((({addr}) < {self.lit(memory.depth)}) ? "
+                    f"{self.mem(expr.mem)}[(size_t)({addr})] : (uN)0)"
+                )
             index = self.m(addr, memory.padded_depth.bit_length() - 1)
             return f"{self.mem(expr.mem)}[(size_t)({index})]"
         if isinstance(expr, PrimOp):
@@ -619,23 +637,36 @@ def generate_c_source(model: CircuitModel) -> str:
             b.emit(f"const uN n_{i} = ({cond}) ? ({init_text}) : ({next_text});")
         else:
             b.emit(f"const uN n_{i} = {next_text};")
-    for memory in model.memories:
-        pad_bits = memory.padded_depth.bit_length() - 1
-        for write in memory.writes:
-            addr = local_gen.gen(write.addr)
-            data = local_gen.m(local_gen.gen(write.data), memory.width)
-            en = local_gen.gen(write.en)
-            guard = (
-                f"({en}) && (({addr}) < {local_gen.lit(memory.depth)})"
-                if memory.needs_write_guard
-                else en
-            )
-            index = local_gen.m(addr, pad_bits)
-            b.emit(f"if ({guard}) {{")
-            b.depth += 1
-            b.emit(f"{mem_ids[memory.name]}[(size_t)({index})] = {data};")
-            b.depth -= 1
-            b.emit("}")
+    # every write's operands are evaluated before the first store (see
+    # memory_commit); staged ones go through temporaries to keep that
+    commit = memory_commit(model)
+    operands = []
+    for k, (memory, write, staged) in enumerate(commit):
+        addr = local_gen.gen(write.addr)
+        data = local_gen.m(local_gen.gen(write.data), memory.width)
+        en = local_gen.gen(write.en)
+        if "en" in staged:
+            b.emit(f"const uN we_{k} = {en};")
+            en = f"we_{k}"
+        if "addr" in staged:
+            b.emit(f"const uN wa_{k} = {addr};")
+            addr = f"wa_{k}"
+        if "data" in staged:
+            b.emit(f"const uN wd_{k} = {data};")
+            data = f"wd_{k}"
+        operands.append((en, addr, data))
+    for (memory, write, _), (en, addr, data) in zip(commit, operands):
+        guard = (
+            f"({en}) && (({addr}) < {local_gen.lit(memory.depth)})"
+            if memory.write_needs_guard(write.addr)
+            else en
+        )
+        index = local_gen.m(addr, memory.padded_depth.bit_length() - 1)
+        b.emit(f"if ({guard}) {{")
+        b.depth += 1
+        b.emit(f"{mem_ids[memory.name]}[(size_t)({index})] = {data};")
+        b.depth -= 1
+        b.emit("}")
     for i, reg in enumerate(model.registers):
         b.emit(f"{ids[reg.name]} = n_{i};")
     b.emit("done += 1;")

@@ -21,6 +21,7 @@ from ..ir.nodes import (
     DefWire,
     Expr,
     MemRead,
+    MemWrite,
     Module,
     Port,
     Ref,
@@ -66,14 +67,22 @@ class MemoryModel:
             return 1 << self.depth.bit_length()
         return self.depth
 
-    @property
-    def needs_write_guard(self) -> bool:
-        """Whether writes need an ``addr < depth`` guard.
+    def read_needs_guard(self, addr: Expr) -> bool:
+        """Whether a read at ``addr`` can index past the padded store.
 
-        Only a non-power-of-two depth has padding slots a masked
-        address can reach.
+        Such a read must return 0, like the interpreter's; a read that
+        stays inside the store needs no check, since padding slots are
+        never written and read 0.
         """
-        return self.padded_depth != self.depth
+        return 1 << bit_width(addr.tpe) > self.padded_depth
+
+    def write_needs_guard(self, addr: Expr) -> bool:
+        """Whether a write at ``addr`` needs an ``addr < depth`` guard.
+
+        A write past ``depth`` is dropped, like the interpreter's; only an
+        address port that can carry such a value needs the check.
+        """
+        return 1 << bit_width(addr.tpe) > self.depth
 
 
 @dataclass
@@ -115,6 +124,36 @@ class CircuitModel:
     def port_names(self) -> set[str]:
         """All top-level port names, inputs and outputs alike."""
         return {p.name for p in self.inputs} | {p.name for p in self.outputs}
+
+
+def memory_commit(model: CircuitModel) -> list[tuple[MemoryModel, MemWrite, frozenset]]:
+    """Every memory write in commit order, as ``(memory, write, staged)``.
+
+    The interpreter evaluates every write's enable, address and data
+    before it applies any, so a write on the same edge always sees the
+    old words.  A compiled tier that commits writes one by one matches
+    it as long as no operand reads (through an inline ``MemRead``) a
+    memory that an earlier write of the commit stores to.  ``staged``
+    names the operands (``"en"``, ``"addr"``, ``"data"``) that do; the
+    tiers compute them into temporaries before the first store.
+    """
+    order = []
+    written: set[str] = set()
+    for memory in model.memories:
+        for write in memory.writes:
+            staged = frozenset(
+                operand
+                for operand, expr in (
+                    ("en", write.en), ("addr", write.addr), ("data", write.data)
+                )
+                if any(
+                    isinstance(node, MemRead) and node.mem in written
+                    for node in walk_expr(expr)
+                )
+            )
+            order.append((memory, write, staged))
+            written.add(memory.name)
+    return order
 
 
 def build_model(circuit_or_state, already_lowered: bool = False) -> CircuitModel:

@@ -11,7 +11,7 @@ the two against each other.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Callable, Mapping, Optional
 
 from ..ir.nodes import Expr, MemRead, Mux, PrimOp, Ref, SIntLiteral, UIntLiteral
 from ..ir.types import bit_width, is_signed, mask
@@ -21,7 +21,7 @@ from ..ir.types import bit_width, is_signed, mask
 #: operator lowering, state layout, cover sampling — must bump it: the
 #: content-addressed model cache (:mod:`repro.backends.modelcache`) mixes
 #: it into every cache key, so a bump invalidates all persisted entries.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 RefFn = Callable[[str], str]
 MemFn = Callable[[str], str]
@@ -79,8 +79,15 @@ def _val(expr: Expr, text: str) -> str:
     return text
 
 
-def gen_expr(expr: Expr, ref: RefFn, mem: MemFn) -> str:
-    """Generate a Python expression computing ``expr``'s raw value."""
+def gen_expr(
+    expr: Expr, ref: RefFn, mem: MemFn, memories: Optional[Mapping] = None
+) -> str:
+    """Generate a Python expression computing ``expr``'s raw value.
+
+    ``memories`` maps memory names to their
+    :class:`~repro.backends.model.MemoryModel`; with it, a read whose
+    address can pass the padded store is guarded to read 0 there.
+    """
     if isinstance(expr, Ref):
         return ref(expr.name)
     if isinstance(expr, UIntLiteral):
@@ -88,27 +95,33 @@ def gen_expr(expr: Expr, ref: RefFn, mem: MemFn) -> str:
     if isinstance(expr, SIntLiteral):
         return str(expr.value & mask(expr.width))
     if isinstance(expr, Mux):
-        cond = gen_expr(expr.cond, ref, mem)
+        cond = gen_expr(expr.cond, ref, mem, memories)
         width = bit_width(expr.type)
         arms = []
         for arm in (expr.tval, expr.fval):
-            text = gen_expr(arm, ref, mem)
+            text = gen_expr(arm, ref, mem, memories)
             if is_signed(arm.tpe) and bit_width(arm.tpe) < width:
                 text = f"({_s(text, bit_width(arm.tpe))} & {mask(width)})"
             arms.append(text)
         return f"({arms[0]} if {cond} else {arms[1]})"
     if isinstance(expr, MemRead):
-        addr = gen_expr(expr.addr, ref, mem)
-        return f"{mem(expr.mem)}[{addr}]"
+        addr = gen_expr(expr.addr, ref, mem, memories)
+        read = f"{mem(expr.mem)}[{addr}]"
+        memory = memories.get(expr.mem) if memories else None
+        if memory is not None and memory.read_needs_guard(expr.addr):
+            return f"({read} if {addr} < {memory.depth} else 0)"
+        return read
     if isinstance(expr, PrimOp):
-        return _gen_primop(expr, ref, mem)
+        return _gen_primop(expr, ref, mem, memories)
     raise TypeError(f"cannot generate code for {expr!r}")
 
 
-def _gen_primop(expr: PrimOp, ref: RefFn, mem: MemFn) -> str:
+def _gen_primop(
+    expr: PrimOp, ref: RefFn, mem: MemFn, memories: Optional[Mapping]
+) -> str:
     op = expr.op
     args = expr.args
-    texts = [gen_expr(a, ref, mem) for a in args]
+    texts = [gen_expr(a, ref, mem, memories) for a in args]
     result_w = bit_width(expr.type)
     result_mask = mask(result_w)
 
@@ -200,7 +213,7 @@ def _trem(a, b):
 #: swarm backend's cache-key options (alongside the lane count), so swarm
 #: lowering changes invalidate swarm entries without touching the scalar
 #: backends' cache space.
-SWARM_EMITTER_VERSION = 1
+SWARM_EMITTER_VERSION = 2
 
 #: ops with no packed lowering: per-lane products/quotients and data-dependent
 #: shifts genuinely need per-lane arithmetic, and ``xorr`` is a parity
@@ -269,6 +282,18 @@ def _mr(banks, a, ma):
     return r
 
 
+def _mrd(banks, a, ma, d):
+    """:func:`_mr` for an address that can pass the store: past ``d``, 0."""
+    r = 0
+    sh = 0
+    for bank in banks:
+        i = (a >> sh) & ma
+        if i < d:
+            r |= bank[i] << sh
+        sh += _S
+    return r
+
+
 def _vadd(planes, m):
     """Carry-save add of a lane-base firing mask into a vertical counter.
 
@@ -307,11 +332,19 @@ class SwarmEmitter:
     lambdas are hoisted into module-level names, deduplicated by value.
     """
 
-    def __init__(self, lanes: int, stride: int, ref: RefFn, mem: MemFn) -> None:
+    def __init__(
+        self,
+        lanes: int,
+        stride: int,
+        ref: RefFn,
+        mem: MemFn,
+        memories: Mapping,
+    ) -> None:
         self.lanes = lanes
         self.stride = stride
         self.ref = ref
         self.mem = mem
+        self.memories = memories
         self._consts: dict[int, str] = {}
         self._lambdas: dict[str, str] = {}
 
@@ -387,6 +420,12 @@ class SwarmEmitter:
         if isinstance(expr, MemRead):
             addr = self.gen(expr.addr)
             addr_mask = mask(bit_width(expr.addr.tpe))
+            memory = self.memories[expr.mem]
+            if memory.read_needs_guard(expr.addr):
+                return (
+                    f"_mrd({self.mem(expr.mem)}, {addr}, {addr_mask}, "
+                    f"{memory.depth})"
+                )
             return f"_mr({self.mem(expr.mem)}, {addr}, {addr_mask})"
         if isinstance(expr, PrimOp):
             return self._gen_primop(expr)

@@ -31,7 +31,7 @@ from typing import Optional
 from ..ir.types import bit_width, is_signed, mask
 from ..runtime.telemetry import StepMeter, obs
 from .api import CoverCounts, StepResult, metered_step, saturate
-from .model import CircuitModel, build_model
+from .model import CircuitModel, build_model, memory_commit
 from .modelcache import CacheEntry, ModelCache, compile_cached
 from .pycodegen import RUNTIME_HELPERS, CodeBuilder, _s, gen_expr, predicate, pynames
 
@@ -67,9 +67,10 @@ def generate_source(model: CircuitModel, gated: bool = False) -> str:
     """Generate the ``GeneratedSim`` module source for ``model``."""
     attr = signal_attrs(model)
     mems = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
+    memories = {m.name: m for m in model.memories}
 
     def gen(expr) -> str:
-        return gen_expr(expr, attr.__getitem__, mems.__getitem__)
+        return gen_expr(expr, attr.__getitem__, mems.__getitem__, memories)
 
     state = [p.name for p in model.inputs] + [r.name for r in model.registers]
     b = CodeBuilder()
@@ -152,21 +153,35 @@ def generate_source(model: CircuitModel, gated: bool = False) -> str:
             b.emit(f"n_{i} = {init_text} if {gen(reg.reset)} else {next_text}")
         else:
             b.emit(f"n_{i} = {next_text}")
-    for memory in model.memories:
-        for write in memory.writes:
-            addr = gen(write.addr)
-            data = gen(write.data)
-            if bit_width(write.data.tpe) > memory.width:
-                data = f"{data} & {mask(memory.width)}"
-            en = gen(write.en)
-            if memory.needs_write_guard:
-                en = f"{en} and ({addr}) < {memory.depth}"
-            b.emit(f"if {en}:")
-            b.depth += 1
-            b.emit(f"{mems[memory.name]}[{addr}] = {data}")
-            if gated:
-                b.emit("mem_dirty = True")
-            b.depth -= 1
+    # every write's operands are evaluated before the first store (see
+    # memory_commit); staged ones go through temporaries to keep that
+    commit = memory_commit(model)
+    operands = []
+    for k, (memory, write, staged) in enumerate(commit):
+        addr = gen(write.addr)
+        data = gen(write.data)
+        if bit_width(write.data.tpe) > memory.width:
+            data = f"{data} & {mask(memory.width)}"
+        en = gen(write.en)
+        if "en" in staged:
+            b.emit(f"we_{k} = {en}")
+            en = f"we_{k}"
+        if "addr" in staged:
+            b.emit(f"wa_{k} = {addr}")
+            addr = f"wa_{k}"
+        if "data" in staged:
+            b.emit(f"wd_{k} = {data}")
+            data = f"wd_{k}"
+        operands.append((en, addr, data))
+    for (memory, write, _), (en, addr, data) in zip(commit, operands):
+        if memory.write_needs_guard(write.addr):
+            en = f"{en} and ({addr}) < {memory.depth}"
+        b.emit(f"if {en}:")
+        b.depth += 1
+        b.emit(f"{mems[memory.name]}[{addr}] = {data}")
+        if gated:
+            b.emit("mem_dirty = True")
+        b.depth -= 1
     for i, reg in enumerate(model.registers):
         b.emit(f"{attr[reg.name]} = n_{i}")
     if model.stops:

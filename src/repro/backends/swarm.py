@@ -36,7 +36,7 @@ from typing import Optional
 from ..ir.types import bit_width, mask
 from ..runtime.telemetry import StepMeter, obs
 from .api import CoverCounts, StepResult, metered_step, saturate
-from .model import CircuitModel, build_model, widest_width
+from .model import CircuitModel, build_model, memory_commit, widest_width
 from .modelcache import CacheEntry, ModelCache, compile_cached
 from .pycodegen import (
     RUNTIME_HELPERS,
@@ -81,7 +81,13 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
     )
     py = pynames(all_names)
     mems = {m.name: f"m_{i}" for i, m in enumerate(model.memories)}
-    emitter = SwarmEmitter(lanes, stride, lambda n: py[n], lambda n: mems[n])
+    emitter = SwarmEmitter(
+        lanes,
+        stride,
+        lambda n: py[n],
+        lambda n: mems[n],
+        {m.name: m for m in model.memories},
+    )
     gen = emitter.gen
 
     state_names = [p.name for p in model.inputs] + [
@@ -174,30 +180,45 @@ def generate_swarm_source(model: CircuitModel, lanes: int) -> str:
                 body.emit(f"n_{i} = {select}")
             else:
                 body.emit(f"n_{i} = {next_text}")
-        for memory in model.memories:
-            for write in memory.writes:
-                addr_mask = mask(bit_width(write.addr.tpe))
-                en = gen(write.en)
-                body.emit(f"_e = {en} & active" if masked else f"_e = {en}")
-                body.emit("if _e:")
-                body.depth += 1
-                body.emit(f"_wa = {gen(write.addr)}")
-                body.emit(f"_wd = {gen(write.data)}")
-                body.emit("while _e:")
-                body.depth += 1
-                body.emit("_b = _e & -_e")
-                body.emit("_p = _b.bit_length() - 1")
-                body.emit(f"_a = (_wa >> _p) & {addr_mask}")
-                store = (
-                    f"{mems[memory.name]}[_p // _S][_a] = "
-                    f"(_wd >> _p) & {mask(memory.width)}"
-                )
-                if memory.needs_write_guard:
-                    body.emit(f"if _a < {memory.depth}: {store}")
-                else:
-                    body.emit(store)
-                body.emit("_e ^= _b")
-                body.depth -= 2
+        # every write's operands are evaluated before the first store
+        # (see memory_commit); staged ones go through temporaries
+        commit = memory_commit(model)
+        operands = []
+        for k, (memory, write, staged) in enumerate(commit):
+            texts = []
+            for operand, expr, temp in (
+                ("en", write.en, f"we_{k}"),
+                ("addr", write.addr, f"wa_{k}"),
+                ("data", write.data, f"wd_{k}"),
+            ):
+                text = gen(expr)
+                if operand in staged:
+                    body.emit(f"{temp} = {text}")
+                    text = temp
+                texts.append(text)
+            operands.append(texts)
+        for (memory, write, _), (en, addr, data) in zip(commit, operands):
+            addr_mask = mask(bit_width(write.addr.tpe))
+            body.emit(f"_e = {en} & active" if masked else f"_e = {en}")
+            body.emit("if _e:")
+            body.depth += 1
+            body.emit(f"_wa = {addr}")
+            body.emit(f"_wd = {data}")
+            body.emit("while _e:")
+            body.depth += 1
+            body.emit("_b = _e & -_e")
+            body.emit("_p = _b.bit_length() - 1")
+            body.emit(f"_a = (_wa >> _p) & {addr_mask}")
+            store = (
+                f"{mems[memory.name]}[_p // _S][_a] = "
+                f"(_wd >> _p) & {mask(memory.width)}"
+            )
+            if memory.write_needs_guard(write.addr):
+                body.emit(f"if _a < {memory.depth}: {store}")
+            else:
+                body.emit(store)
+            body.emit("_e ^= _b")
+            body.depth -= 2
         for i, reg in enumerate(model.registers):
             body.emit(f"{py[reg.name]} = n_{i}")
         body.emit("done += 1")

@@ -33,9 +33,16 @@ def bucket(count: int) -> int:
     return 8
 
 
+#: ``bucket(count)`` for every count below 128; every larger count is 8
+_BUCKET_OF = tuple(bucket(count) for count in range(128))
+
+
 def bitmap_of(counts: CoverCounts) -> frozenset:
     """The (cover, bucket) pairs an execution touched."""
-    return frozenset((name, bucket(c)) for name, c in counts.items() if c > 0)
+    table = _BUCKET_OF
+    return frozenset(
+        (name, table[c] if c < 128 else 8) for name, c in counts.items() if c > 0
+    )
 
 
 @dataclass
@@ -115,10 +122,13 @@ class AflFuzzer:
         """Account one executed input; returns True on new coverage."""
         self.stats.executions += 1
         execution = self.stats.executions
-        self.stats.record(execution, self.track(counts))
+        tracked = self.track(counts)
+        self.stats.record(execution, tracked)
         if self.feedback is None:
             return False
-        coverage = bitmap_of(self.feedback(counts))
+        # evaluation and feedback usually share one filter: run it once
+        fed = tracked if self.track is self.feedback else self.feedback(counts)
+        coverage = bitmap_of(fed)
         new_pairs = coverage - self.seen_bitmap
         if new_pairs:
             self.seen_bitmap.update(new_pairs)

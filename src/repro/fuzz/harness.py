@@ -24,6 +24,7 @@ scalar-style — the batch is purely a throughput multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from ..backends.api import CoverCounts, InputMatrix, run_inputs
@@ -95,8 +96,16 @@ class FuzzHarness:
             if p.name not in ("clock", "reset")
         ]
         self._columns = tuple(p.name for p in self.ports)
-        self.bits_per_cycle = sum(p.width for p in self.ports)
+        #: per-port (shift, mask) into one cycle's little-endian integer
+        self._fields = []
+        shift = 0
+        for port in self.ports:
+            self._fields.append((shift, (1 << port.width) - 1))
+            shift += port.width
+        self.bits_per_cycle = shift
         self.bytes_per_cycle = max((self.bits_per_cycle + 7) // 8, 1)
+        self._reset_columns = ("reset",) + self._columns
+        self._reset_row = (1,) + (0,) * len(self.ports)
         self.executions = 0
         self.cycles_executed = 0
 
@@ -111,18 +120,27 @@ class FuzzHarness:
 
     def decode_rows(self, data: bytes) -> list[tuple[int, ...]]:
         """:meth:`decode` as rows of values in :attr:`ports` order."""
-        rows = []
-        n_cycles = -(-len(data) // self.bytes_per_cycle)
-        n_cycles = min(max(n_cycles, 1), self.max_cycles)
-        for cycle in range(n_cycles):
-            chunk = data[cycle * self.bytes_per_cycle : (cycle + 1) * self.bytes_per_cycle]
-            value = int.from_bytes(chunk.ljust(self.bytes_per_cycle, b"\0"), "little")
-            row = []
-            for port in self.ports:
-                row.append(value & ((1 << port.width) - 1))
-                value >>= port.width
-            rows.append(tuple(row))
-        return rows
+        n_cycles, columns = self._decode_columns(data)
+        if not columns:
+            return [()] * n_cycles
+        return list(zip(*columns))
+
+    def _decode_columns(self, data: bytes) -> tuple[int, list[list[int]]]:
+        """The decoded cycle count and one value list per port.
+
+        The data is padded once to whole cycles; each cycle is one
+        ``int.from_bytes`` that every port's field is sliced out of.
+        """
+        step = self.bytes_per_cycle
+        n_cycles = min(max(-(-len(data) // step), 1), self.max_cycles)
+        size = n_cycles * step
+        data = data[:size].ljust(size, b"\0")
+        from_bytes = int.from_bytes
+        cycles = [from_bytes(data[at : at + step], "little") for at in range(0, size, step)]
+        return n_cycles, [
+            [(value >> shift) & field for value in cycles]
+            for shift, field in self._fields
+        ]
 
     def _fresh_sim(self):
         template = self._template
@@ -141,13 +159,26 @@ class FuzzHarness:
             sim.poke("reset", 0)
 
     def execute(self, data: bytes) -> CoverCounts:
-        """Run one fuzz input from reset; returns this run's cover counts."""
+        """Run one fuzz input from reset; returns this run's cover counts.
+
+        Reset and stimulus are one matrix: ``reset_cycles`` rows with
+        ``reset`` high and every data port 0 (a fresh simulation's
+        inputs are 0 already), then the decoded rows with ``reset`` low,
+        so the whole execution is a single :func:`run_inputs` call.
+        """
         sim = self._fresh_sim()
-        self._reset(sim)
-        result = run_inputs(sim, InputMatrix(self._columns, self.decode_rows(data)))
+        reset = max(self.reset_cycles, 0) if "reset" in self._input_names else 0
+        if reset:
+            n_cycles, columns = self._decode_columns(data)
+            rows = [self._reset_row] * reset
+            rows += zip(repeat(0, n_cycles), *columns)
+            matrix = InputMatrix(self._reset_columns, rows)
+        else:
+            matrix = InputMatrix(self._columns, self.decode_rows(data))
+        result = run_inputs(sim, matrix)
         # a row counts as executed when its edge was attempted: a design
-        # that already stopped during reset still spends the first row
-        self.cycles_executed += max(result.cycles, 1)
+        # that stops during reset still spends the first decoded row
+        self.cycles_executed += max(result.cycles - reset, 1)
         self.executions += 1
         return sim.cover_counts()
 
@@ -218,18 +249,22 @@ def metric_filter(db: CoverageDB, state: CompileState, metric: str) -> Callable[
     Canonical count keys resolve through the instance tree back to
     (module, local-name) pairs, which are then matched against the metric's
     metadata — mixing and matching feedback metrics is a dictionary filter.
+    Each key is resolved once, the first time the filter sees it; a key
+    that names no instance raises ``KeyError`` on every sight.
     """
     tree = InstanceTree(state.circuit)
-    wanted: set[str] = set()
-    for module, cover_name, _payload in db.covers_of(metric):
-        wanted.add(f"{module}\x00{cover_name}")
+    wanted = {(module, cover_name) for module, cover_name, _payload in db.covers_of(metric)}
+
+    class Verdicts(dict):
+        """Key -> keep; a miss resolves the key and caches the verdict."""
+
+        def __missing__(self, key: str) -> bool:
+            keep = self[key] = tree.resolve(key) in wanted
+            return keep
+
+    verdicts = Verdicts()
 
     def filter_counts(counts: CoverCounts) -> CoverCounts:
-        out = {}
-        for key, count in counts.items():
-            module, local = tree.resolve(key)
-            if f"{module}\x00{local}" in wanted:
-                out[key] = count
-        return out
+        return {key: count for key, count in counts.items() if verdicts[key]}
 
     return filter_counts

@@ -6,6 +6,10 @@ the treadle JIT, verilator, essent, the native ``c`` tier and ``swarm``
 
 * a memory write whose data is wider than the memory word keeps only
   the word's bits;
+* an address port wider than the memory: a write past the depth is
+  dropped and a read past it returns 0;
+* two writes on one edge: a write whose data reads a memory written
+  earlier on that edge stores the old word;
 * a signed register reset from a narrower signed init sign-extends it;
 * covers that share one canonical name merge into one count;
 * of two stops firing on one edge, the first one declared is reported;
@@ -93,6 +97,55 @@ def _wide_write_memory():
     )
 
 
+def _wide_address_memory():
+    """A 4-bit, depth-4 memory whose ports carry 8-bit addresses."""
+    clock = Ref("clock", CLOCK)
+    addr = UIntType(8)
+    return _circuit(
+        [
+            Port("en", "input", UIntType(1)),
+            Port("waddr", "input", addr),
+            Port("data", "input", UIntType(4)),
+            Port("raddr", "input", addr),
+            Port("out", "output", UIntType(4)),
+        ],
+        [
+            DefMemory("m", UIntType(4), 4),
+            MemWrite(
+                "m", Ref("waddr", addr), Ref("data", UIntType(4)),
+                Ref("en", UIntType(1)), clock,
+            ),
+            Connect(
+                Ref("out", UIntType(4)),
+                MemRead("m", Ref("raddr", addr), UIntType(4)),
+            ),
+        ],
+    )
+
+
+def _same_edge_writes(source: str):
+    """One edge writes 5 to ``source[0]`` and ``source[0]`` to ``m[1]``."""
+    clock = Ref("clock", CLOCK)
+    en = Ref("en", UIntType(1))
+    word = UIntType(4)
+    memories = [DefMemory(name, word, 4) for name in sorted({source, "m"})]
+    return _circuit(
+        [
+            Port("en", "input", UIntType(1)),
+            Port("out", "output", word),
+        ],
+        [
+            *memories,
+            MemWrite(source, UIntLiteral(0, 2), UIntLiteral(5, 4), en, clock),
+            MemWrite(
+                "m", UIntLiteral(1, 2),
+                MemRead(source, UIntLiteral(0, 2), word), en, clock,
+            ),
+            Connect(Ref("out", word), MemRead("m", UIntLiteral(1, 2), word)),
+        ],
+    )
+
+
 def _narrow_signed_init():
     """An SInt<8> register reset to SInt<4>(-1)."""
     reg = Ref("r", SIntType(8))
@@ -143,6 +196,46 @@ def test_memory_write_masks_data_wider_than_the_word(tier):
     sim.step()
     sim.poke("en", 0)
     assert sim.peek("out") == 0xC
+
+
+@tiers
+def test_memory_write_past_the_depth_is_dropped(tier):
+    sim = _compile(tier, _wide_address_memory())
+    sim.poke("en", 1)
+    sim.poke("waddr", 200)
+    sim.poke("data", 9)
+    sim.step()
+    sim.poke("en", 0)
+    for addr in (0, 200):
+        sim.poke("raddr", addr)
+        assert sim.peek("out") == 0
+
+
+@tiers
+def test_memory_read_past_the_depth_is_zero(tier):
+    sim = _compile(tier, _wide_address_memory())
+    sim.poke("en", 1)
+    sim.poke("waddr", 0)
+    sim.poke("data", 9)
+    sim.step()
+    sim.poke("en", 0)
+    sim.poke("raddr", 200)
+    assert sim.peek("out") == 0
+    sim.poke("raddr", 0)
+    assert sim.peek("out") == 9
+
+
+@tiers
+@pytest.mark.parametrize("source", ["m", "a"])
+def test_same_edge_write_reads_the_old_word(tier, source):
+    sim = _compile(tier, _same_edge_writes(source))
+    sim.poke("en", 1)
+    sim.step()
+    sim.poke("en", 0)
+    assert sim.peek("out") == 0
+    sim.poke("en", 1)
+    sim.step()
+    assert sim.peek("out") == 5
 
 
 @tiers

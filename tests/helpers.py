@@ -156,10 +156,11 @@ def random_circuits(draw, n_nodes: int = 6, n_regs: int = 2):
         leaves.append(Ref(name, tpe))
 
     # one memory of non-power-of-two depth: its address width reaches past
-    # the depth, and writes carry data up to 2 bits wider than the word
+    # the depth (by up to 3 bits past the padded store), and writes carry
+    # data up to 2 bits wider than the word
     depth = draw(st.sampled_from([3, 5, 6, 7]))
     word = draw(st.integers(1, 8))
-    addr_width = (depth - 1).bit_length()
+    addr_width = (depth - 1).bit_length() + draw(st.integers(0, 3))
     body.append(DefMemory("mem", UIntType(word), depth))
     read_addr = _fit_uint(draw(st.sampled_from(leaves)), addr_width)
     body.append(DefNode("mem_rd", MemRead("mem", read_addr, UIntType(word))))
